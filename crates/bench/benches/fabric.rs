@@ -2,63 +2,80 @@
 //! and Varys SEBF allocation — at realistic flow counts, plus end-to-end
 //! fabric drain throughput.
 
-use corral_model::Bandwidth;
 use corral_model::{Bytes, ClusterConfig, MachineId};
-use corral_simnet::allocator::{FlowView, RateAllocator};
-use corral_simnet::{CoflowId, Topology};
+use corral_simnet::allocator::{AllocScratch, FlowTable, RateAllocator};
+use corral_simnet::{CoflowId, LinkId, Topology};
 use corral_simnet::{Fabric, FairShare, FlowKind, FlowSpec, FlowTag, VarysSebf};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-/// Builds a deterministic set of `n` flow views on the testbed topology.
-fn flow_set(
-    topo: &Topology,
-    n: usize,
-) -> (
-    Vec<Vec<corral_simnet::LinkId>>,
-    Vec<Bytes>,
-    Vec<Option<CoflowId>>,
-) {
-    let m = topo.config().total_machines();
-    let mut paths = Vec::with_capacity(n);
-    let mut sizes = Vec::with_capacity(n);
-    let mut coflows = Vec::with_capacity(n);
-    for i in 0..n {
-        let src = MachineId(((i * 37) % m) as u32);
-        let dst = MachineId(((i * 101 + 13) % m) as u32);
-        if src == dst {
-            continue;
-        }
-        paths.push(topo.path(src, dst).as_slice().to_vec());
-        sizes.push(Bytes::mb(64.0 + (i % 100) as f64));
-        coflows.push(Some(CoflowId((i % 24) as u64)));
-    }
-    (paths, sizes, coflows)
+/// A deterministic set of `n` flows on the testbed topology in the CSR
+/// form the fabric hands its allocators.
+struct FlowSet {
+    flow_off: Vec<u32>,
+    flow_links: Vec<LinkId>,
+    remaining: Vec<f64>,
+    coflow: Vec<Option<CoflowId>>,
 }
 
+impl FlowSet {
+    fn new(topo: &Topology, n: usize) -> Self {
+        let m = topo.config().total_machines();
+        let mut set = FlowSet {
+            flow_off: vec![0],
+            flow_links: Vec::new(),
+            remaining: Vec::with_capacity(n),
+            coflow: Vec::with_capacity(n),
+        };
+        for i in 0..n {
+            let src = MachineId(((i * 37) % m) as u32);
+            let dst = MachineId(((i * 101 + 13) % m) as u32);
+            if src == dst {
+                continue;
+            }
+            set.flow_links
+                .extend_from_slice(topo.path(src, dst).as_slice());
+            set.flow_off.push(set.flow_links.len() as u32);
+            set.remaining.push(Bytes::mb(64.0 + (i % 100) as f64).0);
+            set.coflow.push(Some(CoflowId((i % 24) as u64)));
+        }
+        set
+    }
+
+    fn table(&self) -> FlowTable<'_> {
+        FlowTable {
+            flow_off: &self.flow_off,
+            flow_links: &self.flow_links,
+            remaining: &self.remaining,
+            coflow: &self.coflow,
+        }
+    }
+}
+
+/// Times the two solves the simulator runs: the CSR max-min kernel over
+/// the whole testbed graph as one component (the fair-share path's worst
+/// case), and the from-scratch Varys SEBF + MADD + backfill solve (the
+/// coflow path's cold-cache / oracle solve).
 fn bench_allocators(c: &mut Criterion) {
     let topo = Topology::new(ClusterConfig::testbed_210());
+    let caps: Vec<f64> = topo
+        .links()
+        .iter()
+        .map(|l| l.effective_capacity().0)
+        .collect();
     let mut group = c.benchmark_group("rate_allocation");
     for &n in &[500usize, 2000] {
-        let (paths, sizes, coflows) = flow_set(&topo, n);
-        let views: Vec<FlowView<'_>> = paths
-            .iter()
-            .zip(&sizes)
-            .zip(&coflows)
-            .map(|((p, &s), &cf)| FlowView {
-                path: p,
-                remaining: s,
-                coflow: cf,
-            })
-            .collect();
-        let mut rates = vec![Bandwidth::ZERO; views.len()];
+        let set = FlowSet::new(&topo, n);
+        let table = set.table();
+        let mut rates = vec![0.0; table.len()];
+        let mut scratch = AllocScratch::new();
 
-        group.bench_with_input(BenchmarkId::new("maxmin", n), &views, |b, views| {
+        group.bench_with_input(BenchmarkId::new("maxmin", n), &table, |b, table| {
             let mut alloc = FairShare;
-            b.iter(|| alloc.allocate(topo.links(), views, &mut rates));
+            b.iter(|| alloc.allocate_component(&caps, table, &mut rates, &mut scratch));
         });
-        group.bench_with_input(BenchmarkId::new("varys_sebf", n), &views, |b, views| {
+        group.bench_with_input(BenchmarkId::new("varys_sebf", n), &table, |b, table| {
             let mut alloc = VarysSebf;
-            b.iter(|| alloc.allocate(topo.links(), views, &mut rates));
+            b.iter(|| alloc.allocate_from_scratch(topo.links(), table, &mut rates, &mut scratch));
         });
     }
     group.finish();

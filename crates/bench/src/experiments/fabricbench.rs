@@ -3,10 +3,10 @@
 //! scales, comparing the optimized CSR max-min path
 //! ([`corral_simnet::FairShare`]) against the pre-optimization reference
 //! ([`corral_simnet::ReferenceFairShare`]), plus one interleaved Varys
-//! cell pair — the verbatim eager per-event SEBF solve
-//! ([`Fabric::new_eager`]) against the coflow-incremental mode — and one
-//! real fig6-shaped scheduling cell (Corral on the W1 smoke workload,
-//! `Tcp` vs `TcpReference`). Writes `BENCH_fabric.json` in the working
+//! cell pair — the coflow-incremental fabric with the from-scratch shadow
+//! oracle armed ([`Fabric::set_full_oracle`]) against the same fabric
+//! with it off — and one real fig6-shaped scheduling cell (Corral on the
+//! W1 smoke workload, `Tcp` vs `TcpReference`). Writes `BENCH_fabric.json` in the working
 //! directory (each synthetic cell carries a `policy` field).
 //!
 //! Not part of `repro all` (it times the simulator, not a paper artifact);
@@ -85,10 +85,10 @@ const SCALES: [ScaleSpec; 3] = [
 /// (see module docs) or find the regression.
 const GOLDEN_RECOMPUTES: [(&str, u64); 3] = [("small", 7996), ("medium", 11954), ("large", 23940)];
 
-/// Golden recompute counts of the *coflow-incremental* Varys pass (the
-/// eager pass recomputes per event batch by construction and is the
-/// wall-clock baseline, not a counter oracle). `varys-small` backs the
-/// perfreport tripwire, `varys-medium` the interleaved bench cell.
+/// Golden recompute counts of the coflow-incremental Varys pass (identical
+/// with the oracle armed or not — that identity is itself asserted).
+/// `varys-small` backs the perfreport tripwire, `varys-medium` the
+/// interleaved bench cell.
 const GOLDEN_VARYS_RECOMPUTES: [(&str, u64); 2] =
     [("varys-small", 7913), ("varys-medium", 11904)];
 
@@ -165,10 +165,10 @@ fn run_once(sc: &ScaleSpec, allocator: Box<dyn RateAllocator>) -> CellResult {
     run_once_with(sc, allocator, false)
 }
 
-/// [`run_once`] with an engine selector: `eager` forces the verbatim
-/// per-event full-recompute fabric ([`Fabric::new_eager`]) — the
-/// baseline side of the Varys pair.
-fn run_once_with(sc: &ScaleSpec, allocator: Box<dyn RateAllocator>, eager: bool) -> CellResult {
+/// [`run_once`] with the shadow oracle selectable: `oracle` re-solves the
+/// whole alive flow set from scratch after every recompute (asserting
+/// rate-bit equality) — the full-solve side of the Varys pair.
+fn run_once_with(sc: &ScaleSpec, allocator: Box<dyn RateAllocator>, oracle: bool) -> CellResult {
     let cfg = ClusterConfig {
         racks: sc.racks,
         machines_per_rack: sc.machines_per_rack,
@@ -176,12 +176,8 @@ fn run_once_with(sc: &ScaleSpec, allocator: Box<dyn RateAllocator>, eager: bool)
     };
     let nm = cfg.total_machines() as u64;
     let mpr = cfg.machines_per_rack as u64;
-    let mut fab = if eager {
-        Fabric::new_eager(cfg, allocator)
-    } else {
-        Fabric::new(cfg, allocator)
-    };
-    fab.set_full_oracle(false);
+    let mut fab = Fabric::new(cfg, allocator);
+    fab.set_full_oracle(oracle);
     let mut rng = sc.seed;
     let mut seq = 0u64;
     for _ in 0..sc.concurrency {
@@ -255,30 +251,25 @@ fn run_pair(sc: &ScaleSpec) -> (CellResult, CellResult, f64) {
     (best_ref.unwrap(), best_csr.unwrap(), speedup)
 }
 
-/// Runs one scale as interleaved (eager, coflow-incremental) Varys
-/// pairs — same churn script, same coflow tagging, two engines. Repeat
-/// determinism is asserted per engine; the *cross*-engine counters are
-/// not compared (the eager path schedules on live remaining bytes, the
-/// incremental path on frozen-at-admission bytes — same SEBF family,
-/// different clairvoyance; bit-identity of the incremental path is
-/// asserted against the from-scratch oracle in fig14-xl and the simnet
-/// property tests). Returns (eager best, incremental best, median
-/// paired speedup).
+/// Runs one scale as interleaved (oracle-armed, plain) Varys pairs —
+/// same churn script, same coflow tagging, the from-scratch oracle on
+/// one side only. The oracle is observation-only, so both sides must
+/// agree on events and recomputes, within each pair and across repeats
+/// (asserted). Returns (oracle-armed best, plain best, median paired
+/// speedup).
 fn run_varys_pair(sc: &ScaleSpec) -> (CellResult, CellResult, f64) {
-    let mut best_eager: Option<CellResult> = None;
+    let mut best_full: Option<CellResult> = None;
     let mut best_inc: Option<CellResult> = None;
     let mut ratios = Vec::with_capacity(REPEATS);
     for _ in 0..REPEATS {
-        let e = run_once_with(sc, Box::new(VarysSebf), true);
+        let f = run_once_with(sc, Box::new(VarysSebf), true);
         let c = run_once_with(sc, Box::new(VarysSebf), false);
-        if let Some(b) = &best_eager {
-            assert_eq!(b.events, e.events, "{}: non-deterministic repeat", sc.name);
-            assert_eq!(
-                b.recomputes, e.recomputes,
-                "{}: non-deterministic repeat",
-                sc.name
-            );
-        }
+        assert_eq!(
+            (f.events, f.recomputes),
+            (c.events, c.recomputes),
+            "{}: oracle-armed Varys pass diverged from the plain pass",
+            sc.name
+        );
         if let Some(b) = &best_inc {
             assert_eq!(b.events, c.events, "{}: non-deterministic repeat", sc.name);
             assert_eq!(
@@ -287,9 +278,9 @@ fn run_varys_pair(sc: &ScaleSpec) -> (CellResult, CellResult, f64) {
                 sc.name
             );
         }
-        ratios.push(e.wall_s / c.wall_s.max(1e-9));
-        if best_eager.as_ref().is_none_or(|b| e.wall_s < b.wall_s) {
-            best_eager = Some(e);
+        ratios.push(f.wall_s / c.wall_s.max(1e-9));
+        if best_full.as_ref().is_none_or(|b| f.wall_s < b.wall_s) {
+            best_full = Some(f);
         }
         if best_inc.as_ref().is_none_or(|b| c.wall_s < b.wall_s) {
             best_inc = Some(c);
@@ -297,7 +288,7 @@ fn run_varys_pair(sc: &ScaleSpec) -> (CellResult, CellResult, f64) {
     }
     ratios.sort_by(f64::total_cmp);
     let speedup = ratios[ratios.len() / 2];
-    (best_eager.unwrap(), best_inc.unwrap(), speedup)
+    (best_full.unwrap(), best_inc.unwrap(), speedup)
 }
 
 /// One small-scale churn pass on the CSR allocator, for `repro
@@ -309,16 +300,20 @@ pub(crate) fn probe_cell_small() -> (u64, u64) {
     (c.recomputes, GOLDEN_RECOMPUTES[0].1)
 }
 
-/// The Varys companion to [`probe_cell_small`]: one eager and one
-/// coflow-incremental churn pass at the small scale, so the probe
-/// report sees both sides of the split recompute counters
-/// (`fabric.recompute_full_eager` from the eager pass,
-/// `fabric.recompute_full_boundary` / `fabric.recompute_incremental` /
-/// `fabric.varys_scratch_elems` from the incremental one). Returns the
-/// incremental pass's `(recomputes, golden_recomputes)` tripwire pair.
+/// The Varys companion to [`probe_cell_small`]: one oracle-armed and one
+/// plain coflow-incremental churn pass at the small scale, so the probe
+/// report sees the split recompute counters
+/// (`fabric.recompute_full_boundary` / `fabric.recompute_incremental`)
+/// and the `fabric.varys_scratch_elems` gauge. The two passes must agree
+/// on recomputes (asserted — the oracle is observation-only). Returns the
+/// plain pass's `(recomputes, golden_recomputes)` tripwire pair.
 pub(crate) fn probe_cell_varys() -> (u64, u64) {
-    let _ = run_once_with(&SCALES[0], Box::new(VarysSebf), true);
+    let f = run_once_with(&SCALES[0], Box::new(VarysSebf), true);
     let c = run_once_with(&SCALES[0], Box::new(VarysSebf), false);
+    assert_eq!(
+        f.recomputes, c.recomputes,
+        "varys-small: oracle-armed pass diverged from the plain pass"
+    );
     (c.recomputes, GOLDEN_VARYS_RECOMPUTES[0].1)
 }
 
@@ -419,13 +414,14 @@ pub fn main() {
         }
     }
 
-    // Varys pair: the eager (per-event full SEBF solve) fabric against
-    // the coflow-incremental one, medium scale, same interleaved-pair
-    // protocol as the fair cells.
+    // Varys pair: the coflow-incremental fabric with the from-scratch
+    // oracle armed (a full SEBF solve per recompute on top of the
+    // incremental one) against the plain one, medium scale, same
+    // interleaved-pair protocol as the fair cells.
     {
         let sc = &SCALES[1];
-        let (eager, inc, speedup) = run_varys_pair(sc);
-        for (label, c) in [("eager", &eager), ("coflow", &inc)] {
+        let (full, inc, speedup) = run_varys_pair(sc);
+        for (label, c) in [("oracle", &full), ("coflow", &inc)] {
             table::row(&[
                 "varys-med".to_string(),
                 label.to_string(),
@@ -456,7 +452,7 @@ pub fn main() {
              \"maxmin_rounds\": {}, \"rounds_per_recompute\": {:.3}, \
              \"scratch_grows\": {}}}",
             inc.events,
-            eager.wall_s,
+            full.wall_s,
             inc.wall_s,
             speedup,
             inc.recomputes,

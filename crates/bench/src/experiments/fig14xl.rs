@@ -24,17 +24,14 @@
 //!   every deterministic counter *and* on a digest of the completion
 //!   stream (asserted).
 //! * **varys** — the stateful Varys/SEBF path, flows grouped into
-//!   band-local coflows. The "full" pass is the verbatim eager fabric
-//!   ([`Fabric::new_eager`]): the whole SEBF + MADD + backfill solve per
-//!   event batch, untouched pre-incremental code. The "incremental" pass
-//!   is the coflow-local mode (frozen-at-admission SEBF bytes, dirty
-//!   coflow re-rank, per-component backfill). The two engines schedule
-//!   under *different* SEBF byte semantics (live vs frozen remaining),
-//!   so their completion streams are not comparable; correctness is
-//!   instead asserted by one extra untimed pass per cell with the
-//!   from-scratch oracle armed, which must match the timed incremental
-//!   pass on every counter and on the completion digest while asserting
-//!   per-flow `rate.to_bits()` equality on every recompute internally.
+//!   band-local coflows. The "incremental" pass is the coflow-local mode
+//!   (frozen-at-admission SEBF bytes, dirty coflow re-rank,
+//!   per-component backfill); the "full" pass is the same run with the
+//!   shadow oracle armed, which re-solves the whole alive flow set
+//!   through the from-scratch SEBF + MADD + backfill after every
+//!   recompute and asserts per-flow `rate.to_bits()` equality. Same
+//!   identity as the fair family: both passes must agree on every
+//!   counter and on the completion digest (asserted).
 //!
 //! The reported speedup is the median paired wall ratio
 //! (full / incremental). Writes `BENCH_scale.json` in the working
@@ -102,9 +99,12 @@ impl CellSpec {
 }
 
 /// {2k, 10k, 50k} machines × {W1, W2} × {fair, varys}. The 50k cells are
-/// the acceptance cells: each incremental path must beat its full
-/// re-solve by ≥ 5× there. The first four (2k) cells double as the CI
-/// smoke subset, so the coflow-incremental path is smoke-covered too.
+/// the acceptance cells: each incremental path should beat its full
+/// re-solve by ≥ 5× there (a printed warning, never asserted; the varys
+/// oracle-armed baseline splits its backfill per component, so it is
+/// far cheaper than a whole-graph re-solve and the varys cells sit
+/// nearer 3–4×). The first four (2k) cells double as the CI smoke
+/// subset, so the coflow-incremental path is smoke-covered too.
 static CELLS: [CellSpec; 12] = [
     CellSpec {
         name: "w1-2k",
@@ -229,12 +229,11 @@ static CELLS: [CellSpec; 12] = [
 ];
 
 /// Golden `(recomputes, maxmin_rounds)` of the timed incremental pass
-/// per cell. For fair cells these are identical between the oracle-on
-/// and oracle-off passes (that identity is itself asserted — the oracle
-/// must not perturb the run); for varys cells the identity is asserted
-/// against the extra oracle-armed pass. Drift against these constants
-/// means the fabric's behavior changed. Bless deliberately (module docs)
-/// or find the regression.
+/// per cell. These are identical between the oracle-on and oracle-off
+/// passes (that identity is itself asserted — the oracle must not
+/// perturb the run). Drift against these constants means the fabric's
+/// behavior changed. Bless deliberately (module docs) or find the
+/// regression.
 const GOLDEN: [(&str, u64, u64); 12] = [
     ("w1-2k", 3985, 45448),
     ("w2-2k", 3990, 45376),
@@ -336,18 +335,14 @@ struct PassResult {
     links: usize,
 }
 
-/// Which engine/oracle combination a pass runs.
+/// Which side of a timed pair a pass runs.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Pass {
-    /// The timed baseline. Fair: the incremental fabric with the shadow
-    /// from-scratch oracle armed (the pre-incremental per-event cost).
-    /// Varys: the verbatim eager fabric ([`Fabric::new_eager`]).
+    /// The baseline: the incremental fabric with the shadow from-scratch
+    /// oracle armed (a full re-solve of the alive flow set per recompute).
     Full,
-    /// The timed incremental pass, oracle off.
+    /// The incremental pass, oracle off.
     Incremental,
-    /// Untimed correctness pass (varys only): the incremental fabric
-    /// with the from-scratch oracle armed.
-    Check,
 }
 
 fn fnv1a(h: u64, word: u64) -> u64 {
@@ -366,15 +361,11 @@ fn run_once(c: &CellSpec, sizes: &[f64], pass: Pass) -> PassResult {
         machines_per_rack: c.machines_per_rack,
         ..ClusterConfig::tiny_test()
     };
-    let mut fab = match (c.policy, pass) {
-        (Policy::Fair, _) => Fabric::new(cfg, Box::new(FairShare)),
-        (Policy::Varys, Pass::Full) => Fabric::new_eager(cfg, Box::new(VarysSebf)),
-        (Policy::Varys, _) => Fabric::new(cfg, Box::new(VarysSebf)),
+    let mut fab = match c.policy {
+        Policy::Fair => Fabric::new(cfg, Box::new(FairShare)),
+        Policy::Varys => Fabric::new(cfg, Box::new(VarysSebf)),
     };
-    fab.set_full_oracle(match c.policy {
-        Policy::Fair => pass == Pass::Full,
-        Policy::Varys => pass == Pass::Check,
-    });
+    fab.set_full_oracle(pass == Pass::Full);
     let links = fab.topology().links().len();
     let mut rng = c.seed;
     let mut seq = 0u64;
@@ -434,37 +425,27 @@ struct CellResult {
 }
 
 /// Runs one cell `repeats` times as (full, incremental) pairs, asserting
-/// every deterministic counter identical across repeats. Fair cells
-/// additionally assert the oracle-armed pass identical to the plain one
-/// (counters *and* completion digest); varys cells run one extra untimed
-/// oracle-armed incremental pass and assert the same identity against it
-/// (the eager baseline schedules under live-remaining SEBF, so it is a
-/// wall-clock baseline only).
+/// every deterministic counter identical across repeats and the
+/// oracle-armed pass identical to the plain one (counters *and*
+/// completion digest) on every repeat.
 fn run_cell(c: &CellSpec, sizes: &[f64], repeats: usize) -> CellResult {
     let mut best_full = f64::INFINITY;
     let mut best_inc = f64::INFINITY;
-    let mut full_counts: Option<PassCounts> = None;
     let mut inc_counts: Option<PassCounts> = None;
     let mut links = 0;
     let mut ratios = Vec::with_capacity(repeats);
     for _ in 0..repeats {
         let full = run_once(c, sizes, Pass::Full);
         let inc = run_once(c, sizes, Pass::Incremental);
-        if c.policy == Policy::Fair {
-            assert_eq!(
-                full.counts, inc.counts,
-                "{}: oracle-armed pass diverged from the plain pass — the oracle \
-                 must be observation-only",
-                c.name
-            );
-        }
-        if let Some(prev) = &full_counts {
-            assert_eq!(*prev, full.counts, "{}: non-deterministic repeat", c.name);
-        }
+        assert_eq!(
+            full.counts, inc.counts,
+            "{}: oracle-armed pass diverged from the plain pass — the oracle \
+             must be observation-only",
+            c.name
+        );
         if let Some(prev) = &inc_counts {
             assert_eq!(*prev, inc.counts, "{}: non-deterministic repeat", c.name);
         }
-        full_counts = Some(full.counts);
         inc_counts = Some(inc.counts);
         links = inc.links;
         ratios.push(full.wall_s / inc.wall_s.max(1e-9));
@@ -472,15 +453,6 @@ fn run_cell(c: &CellSpec, sizes: &[f64], repeats: usize) -> CellResult {
         best_inc = best_inc.min(inc.wall_s);
     }
     let inc_counts = inc_counts.unwrap();
-    if c.policy == Policy::Varys {
-        let check = run_once(c, sizes, Pass::Check);
-        assert_eq!(
-            check.counts, inc_counts,
-            "{}: oracle-armed coflow pass diverged from the plain pass — the \
-             oracle must be observation-only",
-            c.name
-        );
-    }
     ratios.sort_by(f64::total_cmp);
     CellResult {
         name: c.name,
@@ -564,8 +536,7 @@ fn run(cells: &[CellSpec], repeats: usize, smoke: bool) {
                 assert_eq!(
                     r.counts.recomputes,
                     r.counts.recomputes_incremental + r.counts.recomputes_full_boundary,
-                    "{}: varys recomputes must split into incremental + boundary-full \
-                     (an Unsupported fallback leaked in)",
+                    "{}: varys recomputes must split into incremental + boundary-full",
                     r.name
                 );
             }

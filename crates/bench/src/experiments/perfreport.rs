@@ -49,13 +49,11 @@ const REQUIRED_SPANS: [probe::SpanKind; 9] = [
 
 /// Probe counters the live cells must leave non-zero; a zero means the
 /// counter wiring (or the code path that feeds it) regressed. The split
-/// fabric recompute counters are fed by the Varys live cell: the eager
-/// pass feeds `recompute_full_eager`, the coflow-incremental pass feeds
-/// `recompute_full_boundary` / `recompute_incremental` and the
-/// `varys_scratch_elems` footprint gauge.
-const REQUIRED_COUNTERS: [&str; 5] = [
+/// fabric recompute counters `recompute_full_boundary` /
+/// `recompute_incremental` and the `varys_scratch_elems` footprint gauge
+/// are fed by the Varys live cell.
+const REQUIRED_COUNTERS: [&str; 4] = [
     "fabric.recompute_incremental",
-    "fabric.recompute_full_eager",
     "fabric.recompute_full_boundary",
     "fabric.varys_scratch_elems",
     "fabric.scratch_grows",

@@ -22,10 +22,12 @@ pub enum NetPolicy {
     Tcp,
     /// Varys coflow scheduling (SEBF + MADD + backfill).
     Varys,
-    /// The pre-optimization max-min path
+    /// The pre-optimization max-min kernel
     /// ([`corral_simnet::ReferenceFairShare`]), kept as a benchmarking and
-    /// golden-test oracle. Produces bit-identical results to
-    /// [`NetPolicy::Tcp`], only slower.
+    /// golden-test oracle. Runs the same incremental fabric as
+    /// [`NetPolicy::Tcp`] but solves each dirty component through the
+    /// allocating reference `max_min_rates_into` instead of the CSR
+    /// kernel. Produces bit-identical results, only slower.
     TcpReference,
 }
 

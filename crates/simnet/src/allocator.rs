@@ -14,25 +14,12 @@ use crate::link::{Link, LinkId};
 use crate::maxmin::{self, MaxMinScratch};
 use crate::varys::VarysScratch;
 pub use crate::varys::VarysSebf;
-use corral_model::{Bandwidth, Bytes};
-
-/// A read-only view of one active flow handed to the allocator.
-#[derive(Debug, Clone, Copy)]
-pub struct FlowView<'a> {
-    /// Links the flow traverses (never empty: the fabric handles
-    /// machine-local flows itself).
-    pub path: &'a [LinkId],
-    /// Bytes still to transfer.
-    pub remaining: Bytes,
-    /// Coflow membership, if any.
-    pub coflow: Option<CoflowId>,
-}
 
 /// The active flow set in flat CSR form: flow `f` traverses
 /// `flow_links[flow_off[f] .. flow_off[f+1]]`. Built by the fabric into
 /// persistent buffers, so handing it to an allocator performs no
 /// allocation. Flows appear in ascending [`FlowId`](crate::flow::FlowId)
-/// order — the same order the legacy `&[FlowView]` slice used.
+/// order.
 #[derive(Debug, Clone, Copy)]
 pub struct FlowTable<'a> {
     /// Prefix offsets into `flow_links`; length is `len() + 1`.
@@ -65,7 +52,7 @@ impl<'a> FlowTable<'a> {
     }
 }
 
-/// Reusable workspaces threaded through [`RateAllocator::allocate_table`].
+/// Reusable workspaces threaded through the [`RateAllocator`] entry points.
 /// Owned by the fabric and reused across recomputes, so steady-state rate
 /// allocation performs no heap allocation.
 #[derive(Debug, Default)]
@@ -82,12 +69,6 @@ impl AllocScratch {
     /// Fresh, empty workspaces.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Freeze rounds executed by the most recent max-min run (including the
-    /// backfill pass for Varys).
-    pub fn last_rounds(&self) -> u64 {
-        self.maxmin.last_rounds()
     }
 
     /// Total reserved capacity across all scratch buffers, in elements.
@@ -136,11 +117,9 @@ pub struct DirtyCtx<'a> {
 
 /// What [`RateAllocator::allocate_dirty`] actually did. The fabric uses
 /// this to attribute the recompute to the right probe counter and stats
-/// bucket; in every case `rates` is fully written.
+/// bucket; in either case `rates` is fully written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DirtyOutcome {
-    /// The allocator has no incremental form; the default full solve ran.
-    Unsupported,
     /// The dirtied priority boundary covered the whole order (capacity
     /// change or cold cache): a full pass ran and rebuilt the caches.
     Full {
@@ -158,94 +137,28 @@ pub enum DirtyOutcome {
 }
 
 /// A bandwidth allocation policy.
+///
+/// The fabric picks the entry points it drives from
+/// [`memoryless`](Self::memoryless): memoryless policies are solved one
+/// connected component at a time through
+/// [`allocate_component`](Self::allocate_component); every other policy
+/// owns its dirty decomposition through
+/// [`allocate_dirty`](Self::allocate_dirty), checked against
+/// [`allocate_from_scratch`](Self::allocate_from_scratch) by the shadow
+/// oracle. A policy implements the entry points of its family; the
+/// others are never called.
 pub trait RateAllocator: Send {
     /// Human-readable policy name (used in experiment output).
     fn name(&self) -> &'static str;
-
-    /// Assigns a rate to every flow. `links` carries effective capacities
-    /// (background traffic already subtracted via
-    /// [`Link::effective_capacity`]); `rates` has one slot per flow and is
-    /// fully overwritten.
-    fn allocate(&mut self, links: &[Link], flows: &[FlowView<'_>], rates: &mut [Bandwidth]);
-
-    /// Scratch-carrying entry point used by the fabric's hot path. The
-    /// default implementation materializes `FlowView`s and forwards to
-    /// [`allocate`](Self::allocate) — correct but allocating; fast policies
-    /// override it to work directly on the CSR table.
-    fn allocate_table(
-        &mut self,
-        links: &[Link],
-        table: &FlowTable<'_>,
-        rates: &mut [f64],
-        scratch: &mut AllocScratch,
-    ) {
-        let _ = scratch;
-        let views: Vec<FlowView<'_>> = (0..table.len())
-            .map(|f| FlowView {
-                path: table.path(f),
-                remaining: Bytes(table.remaining[f]),
-                coflow: table.coflow[f],
-            })
-            .collect();
-        let mut bw = vec![Bandwidth::ZERO; views.len()];
-        self.allocate(links, &views, &mut bw);
-        for (r, b) in rates.iter_mut().zip(bw) {
-            *r = b.0;
-        }
-    }
 
     /// True when the policy's rates depend only on flow paths and
     /// effective link capacities — not on remaining bytes or coflow
     /// grouping. Memoryless policies decompose over connected components
     /// of the link↔flow graph, which is what the fabric's incremental
     /// recompute exploits; policies with cross-component coupling (Varys'
-    /// SEBF ordering) instead advertise a coflow-local incremental form
-    /// via [`coflow_incremental`](Self::coflow_incremental), or keep the
-    /// eager full solve.
+    /// SEBF ordering) run the coflow-local incremental form instead.
     fn memoryless(&self) -> bool {
         false
-    }
-
-    /// True when the policy implements the coflow-granular
-    /// [`allocate_dirty`](Self::allocate_dirty) entry point. The fabric
-    /// then runs `Mode::CoflowIncremental`: lazy byte accounting with
-    /// per-coflow dirty tracking instead of eager full recomputes.
-    fn coflow_incremental(&self) -> bool {
-        false
-    }
-
-    /// Coflow-granular incremental entry point. Given the full current
-    /// CSR `table` plus the event delta in `ctx`, writes every rate in
-    /// `rates` — re-ranking only the touched coflows and re-solving only
-    /// the dirtied components when possible. The default falls back to
-    /// [`allocate_table`](Self::allocate_table) (a full solve) so
-    /// FairShare and future zoo policies are untouched.
-    fn allocate_dirty(
-        &mut self,
-        links: &[Link],
-        table: &FlowTable<'_>,
-        rates: &mut [f64],
-        scratch: &mut AllocScratch,
-        ctx: &DirtyCtx<'_>,
-    ) -> DirtyOutcome {
-        let _ = ctx;
-        self.allocate_table(links, table, rates, scratch);
-        DirtyOutcome::Unsupported
-    }
-
-    /// From-scratch reference solve used by the fabric's shadow oracle
-    /// against the coflow-incremental path. Must compute the same rates
-    /// [`allocate_dirty`](Self::allocate_dirty) converges to, using no
-    /// state cached across calls (the oracle owns dedicated scratch and
-    /// this method must reset any incremental cache living in it).
-    fn allocate_from_scratch(
-        &mut self,
-        links: &[Link],
-        table: &FlowTable<'_>,
-        rates: &mut [f64],
-        scratch: &mut AllocScratch,
-    ) {
-        self.allocate_table(links, table, rates, scratch);
     }
 
     /// Solves one connected component on its compacted subproblem:
@@ -262,6 +175,42 @@ pub trait RateAllocator: Send {
         let _ = (caps, table, rates, scratch);
         unreachable!("allocate_component called on a non-memoryless allocator");
     }
+
+    /// Coflow-granular incremental entry point. Given the full current
+    /// CSR `table` (links carry effective capacities, background traffic
+    /// already subtracted via [`Link::effective_capacity`]) plus the event
+    /// delta in `ctx`, writes every rate in `rates` — re-ranking only the
+    /// touched coflows and re-solving only the dirtied components when
+    /// possible. Only called when [`memoryless`](Self::memoryless) returns
+    /// false.
+    fn allocate_dirty(
+        &mut self,
+        links: &[Link],
+        table: &FlowTable<'_>,
+        rates: &mut [f64],
+        scratch: &mut AllocScratch,
+        ctx: &DirtyCtx<'_>,
+    ) -> DirtyOutcome {
+        let _ = (links, table, rates, scratch, ctx);
+        unreachable!("allocate_dirty called on a memoryless allocator");
+    }
+
+    /// From-scratch reference solve used by the fabric's shadow oracle
+    /// against the coflow-incremental path. Must compute the same rates
+    /// [`allocate_dirty`](Self::allocate_dirty) converges to, using no
+    /// state cached across calls (the oracle owns dedicated scratch and
+    /// this method must reset any incremental cache living in it). Only
+    /// called when [`memoryless`](Self::memoryless) returns false.
+    fn allocate_from_scratch(
+        &mut self,
+        links: &[Link],
+        table: &FlowTable<'_>,
+        rates: &mut [f64],
+        scratch: &mut AllocScratch,
+    ) {
+        let _ = (links, table, rates, scratch);
+        unreachable!("allocate_from_scratch called on a memoryless allocator");
+    }
 }
 
 /// Max-min fair sharing: the fluid proxy for long-lived TCP with ideal
@@ -272,33 +221,6 @@ pub struct FairShare;
 impl RateAllocator for FairShare {
     fn name(&self) -> &'static str {
         "tcp-fair"
-    }
-
-    fn allocate(&mut self, links: &[Link], flows: &[FlowView<'_>], rates: &mut [Bandwidth]) {
-        let caps: Vec<f64> = links.iter().map(|l| l.effective_capacity().0).collect();
-        let paths: Vec<&[LinkId]> = flows.iter().map(|f| f.path).collect();
-        let mut raw = vec![0.0; flows.len()];
-        maxmin::max_min_rates_into(&caps, &paths, &mut raw);
-        for (r, raw) in rates.iter_mut().zip(raw) {
-            *r = Bandwidth(raw);
-        }
-    }
-
-    fn allocate_table(
-        &mut self,
-        links: &[Link],
-        table: &FlowTable<'_>,
-        rates: &mut [f64],
-        scratch: &mut AllocScratch,
-    ) {
-        scratch.refresh_caps(links);
-        maxmin::max_min_rates_csr(
-            &scratch.caps,
-            table.flow_off,
-            table.flow_links,
-            rates,
-            &mut scratch.maxmin,
-        );
     }
 
     fn memoryless(&self) -> bool {
@@ -322,21 +244,19 @@ impl RateAllocator for FairShare {
     }
 }
 
-/// The pre-optimization fair-share path, kept verbatim as a benchmarking
-/// and golden-test oracle: it deliberately does *not* override
-/// [`RateAllocator::allocate_table`], so every recompute goes through the
-/// legacy `FlowView` + `Vec<Vec<u32>>` machinery. It reports the same
-/// policy name as [`FairShare`] so run summaries are comparable verbatim.
+/// The pre-optimization max-min kernel, kept as a benchmarking and
+/// golden-test oracle. It rides the same incremental component
+/// decomposition as [`FairShare`], but solves each component through the
+/// allocating reference [`maxmin::max_min_rates_into`] (per-call
+/// `Vec<&[LinkId]>` paths and `Vec<Vec<u32>>` link membership) instead of
+/// the CSR kernel. It reports the same policy name as [`FairShare`] so
+/// run summaries are comparable verbatim.
 #[derive(Debug, Default, Clone)]
 pub struct ReferenceFairShare;
 
 impl RateAllocator for ReferenceFairShare {
     fn name(&self) -> &'static str {
         "tcp-fair"
-    }
-
-    fn allocate(&mut self, links: &[Link], flows: &[FlowView<'_>], rates: &mut [Bandwidth]) {
-        FairShare.allocate(links, flows, rates);
     }
 
     fn memoryless(&self) -> bool {
@@ -360,29 +280,25 @@ impl RateAllocator for ReferenceFairShare {
 mod tests {
     use super::*;
     use crate::link::LinkClass;
+    use corral_model::Bandwidth;
 
     #[test]
     fn fair_share_respects_background() {
         let mut uplink = Link::new(LinkClass::RackUp, 0, Bandwidth(100.0));
         uplink.background = Bandwidth(60.0);
-        let links = vec![uplink];
-        let path = [LinkId(0)];
-        let flows = [
-            FlowView {
-                path: &path,
-                remaining: Bytes(1000.0),
-                coflow: None,
-            },
-            FlowView {
-                path: &path,
-                remaining: Bytes(1000.0),
-                coflow: None,
-            },
-        ];
-        let mut rates = [Bandwidth::ZERO; 2];
-        FairShare.allocate(&links, &flows, &mut rates);
+        // The fabric hands components their effective capacities.
+        let caps = [uplink.effective_capacity().0];
+        let flow_links = [LinkId(0), LinkId(0)];
+        let table = FlowTable {
+            flow_off: &[0, 1, 2],
+            flow_links: &flow_links,
+            remaining: &[1000.0, 1000.0],
+            coflow: &[None, None],
+        };
+        let mut rates = [0.0; 2];
+        FairShare.allocate_component(&caps, &table, &mut rates, &mut AllocScratch::new());
         // 40 available, split two ways.
-        assert!((rates[0].0 - 20.0).abs() < 1e-6);
-        assert!((rates[1].0 - 20.0).abs() < 1e-6);
+        assert!((rates[0] - 20.0).abs() < 1e-6);
+        assert!((rates[1] - 20.0).abs() < 1e-6);
     }
 }

@@ -32,27 +32,24 @@ pub struct FabricStats {
     pub flows_completed: u64,
     /// Number of flows started.
     pub flows_started: u64,
-    /// Number of full rate recomputations (allocator invocations).
+    /// Number of rate recomputations (allocator invocations), across
+    /// both the incremental and the boundary-full buckets.
     pub recomputes: u64,
     /// Cumulative progressive-filling freeze rounds across all recomputes
-    /// (only the CSR max-min path reports rounds; the test-only reference
-    /// path leaves this at zero).
+    /// (only the CSR max-min kernel reports rounds; the reference
+    /// allocator leaves this at zero).
     pub maxmin_rounds: u64,
     /// Number of recomputes on which any scratch buffer (re)allocated.
     /// Flat after warm-up ⇒ the steady-state hot path is allocation-free.
     pub scratch_grows: u64,
     /// Recomputes served by the incremental path (only dirty bottleneck
-    /// components re-solved). `recomputes` stays the total across both
-    /// paths.
+    /// components or dirty coflows re-solved). Memoryless allocators land
+    /// every recompute here.
     pub recomputes_incremental: u64,
-    /// Recomputes served by a full solve. For eager allocators every
-    /// recompute lands here; for the coflow-incremental path this counts
-    /// the degenerate events where the dirtied priority boundary forced
-    /// a full pass (also tallied in `recomputes_full_boundary`).
-    pub recomputes_full: u64,
-    /// Subset of `recomputes_full` forced by a coflow-local dirty
-    /// boundary covering the whole order (capacity change or cold
-    /// cache) rather than by the allocator lacking an incremental form.
+    /// Coflow-mode recomputes that ran a full from-scratch pass because
+    /// the dirtied priority boundary covered the whole order (capacity
+    /// change or cold cache). `recomputes` is the sum of this and
+    /// `recomputes_incremental`.
     pub recomputes_full_boundary: u64,
     /// Cumulative dirty-set size: candidate flows re-solved across all
     /// incremental recomputes (divide by `recomputes_incremental` for

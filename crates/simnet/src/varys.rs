@@ -21,18 +21,15 @@
 //! makes the policy total. (Real Varys only manages shuffle-like transfers;
 //! in our simulations every job transfer carries a coflow id.)
 
-use crate::allocator::{AllocScratch, DirtyCtx, DirtyOutcome, FlowTable, FlowView, RateAllocator};
+use crate::allocator::{AllocScratch, DirtyCtx, DirtyOutcome, FlowTable, RateAllocator};
 use crate::flow::CoflowId;
 use crate::link::{Link, LinkId};
 use crate::maxmin::{self, MaxMinScratch};
-use corral_model::Bandwidth;
-use std::collections::BTreeMap;
 
-/// Reusable buffers for the allocation-free [`VarysSebf::allocate_table`]
-/// path. The `BTreeMap` grouping of the reference implementation is
-/// replaced by a stable sort of `(coflow, flow)` pairs: runs of equal keys
+/// Reusable buffers for the allocation-free Varys solves. Coflows are
+/// grouped by a stable sort of `(coflow, flow)` pairs: runs of equal keys
 /// are the groups, visited in ascending-key order with members in
-/// ascending-flow order — exactly the `BTreeMap` iteration order.
+/// ascending-flow order.
 #[derive(Debug, Default)]
 pub struct VarysScratch {
     /// `(group key, flow index)` pairs, stably sorted by key.
@@ -177,252 +174,6 @@ impl RateAllocator for VarysSebf {
         "varys-sebf"
     }
 
-    fn allocate(&mut self, links: &[Link], flows: &[FlowView<'_>], rates: &mut [Bandwidth]) {
-        let nl = links.len();
-        let caps: Vec<f64> = links.iter().map(|l| l.effective_capacity().0).collect();
-
-        // Group flows into coflows. BTreeMap gives deterministic order;
-        // coflow-less flows become singletons keyed by their flow index
-        // (disjoint id space via the high bit).
-        let mut groups: BTreeMap<CoflowId, Vec<usize>> = BTreeMap::new();
-        for (i, f) in flows.iter().enumerate() {
-            groups.entry(group_key(f.coflow, i)).or_default().push(i);
-        }
-
-        // Per-link byte scratch with explicit touched-link tracking: only
-        // the links a coflow actually crosses are visited (scanning all
-        // links per coflow is quadratic on large topologies).
-        let mut link_bytes = vec![0.0_f64; nl];
-        let mut touched: Vec<u32> = Vec::with_capacity(64);
-        let fill = |link_bytes: &mut Vec<f64>, touched: &mut Vec<u32>, members: &[usize]| {
-            for &t in touched.iter() {
-                link_bytes[t as usize] = 0.0;
-            }
-            touched.clear();
-            for &fi in members {
-                for l in flows[fi].path {
-                    let idx = l.index();
-                    if link_bytes[idx] == 0.0 {
-                        touched.push(idx as u32);
-                    }
-                    link_bytes[idx] += flows[fi].remaining.0;
-                }
-            }
-        };
-
-        // Effective bottleneck Γ_c against full capacities.
-        let mut order: Vec<(f64, CoflowId)> = Vec::with_capacity(groups.len());
-        for (&cid, members) in &groups {
-            fill(&mut link_bytes, &mut touched, members);
-            let gamma = touched
-                .iter()
-                .map(|&t| {
-                    let t = t as usize;
-                    if caps[t] > 0.0 {
-                        link_bytes[t] / caps[t]
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .fold(0.0_f64, f64::max);
-            order.push((gamma, cid));
-        }
-        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-        // MADD in SEBF order against residual capacities.
-        let mut residual = caps.clone();
-        for r in rates.iter_mut() {
-            *r = Bandwidth::ZERO;
-        }
-        for (_, cid) in &order {
-            let members = &groups[cid];
-            fill(&mut link_bytes, &mut touched, members);
-            // τ_c: finish time of the coflow using only residual capacity.
-            let tau = touched
-                .iter()
-                .map(|&t| {
-                    let t = t as usize;
-                    if residual[t] > 1e-9 {
-                        link_bytes[t] / residual[t]
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .fold(0.0_f64, f64::max);
-            if !tau.is_finite() || tau <= 0.0 {
-                // Starved (no residual capacity anywhere on its path) or
-                // empty: leave rates at zero; backfill may still help.
-                continue;
-            }
-            for &fi in members {
-                let rate = flows[fi].remaining.0 / tau;
-                rates[fi] = Bandwidth(rate);
-                for l in flows[fi].path {
-                    let r = &mut residual[l.index()];
-                    *r = (*r - rate).max(0.0);
-                }
-            }
-        }
-
-        // Work-conserving backfill: max-min over the residual capacity,
-        // added on top of the MADD rates.
-        let paths: Vec<&[LinkId]> = flows.iter().map(|f| f.path).collect();
-        let mut extra = vec![0.0; flows.len()];
-        maxmin::max_min_rates_into(&residual, &paths, &mut extra);
-        for (r, e) in rates.iter_mut().zip(extra) {
-            if e.is_finite() {
-                *r += Bandwidth(e);
-            }
-        }
-    }
-
-    /// Allocation-free mirror of [`allocate`](Self::allocate): identical
-    /// grouping order, identical Γ/τ/MADD arithmetic, identical backfill —
-    /// only the data structures differ (sorted runs instead of a `BTreeMap`,
-    /// CSR max-min instead of the `Vec<Vec<u32>>` reference). The property
-    /// and golden tests prove the outputs bit-identical.
-    fn allocate_table(
-        &mut self,
-        links: &[Link],
-        table: &FlowTable<'_>,
-        rates: &mut [f64],
-        scratch: &mut AllocScratch,
-    ) {
-        let nl = links.len();
-        let nf = table.len();
-        scratch.refresh_caps(links);
-        let ws = &mut scratch.varys;
-
-        // Group flows into coflows: stable sort of (key, flow) pairs makes
-        // runs of equal keys the groups, in ascending-key order with
-        // members ascending — the BTreeMap order of the reference path.
-        ws.keyed.clear();
-        ws.keyed
-            .extend((0..nf).map(|i| (group_key(table.coflow[i], i), i as u32)));
-        ws.keyed.sort_by_key(|&(key, _)| key);
-
-        // Per-link byte scratch with explicit touched-link tracking, reused
-        // across coflows and across recomputes.
-        ws.link_bytes.clear();
-        ws.link_bytes.resize(nl, 0.0);
-        ws.touched.clear();
-
-        // Effective bottleneck Γ_c against full capacities, one run of
-        // equal keys at a time.
-        ws.order.clear();
-        let mut start = 0usize;
-        while start < nf {
-            let cid = ws.keyed[start].0;
-            let mut end = start + 1;
-            while end < nf && ws.keyed[end].0 == cid {
-                end += 1;
-            }
-            for &t in &ws.touched {
-                ws.link_bytes[t as usize] = 0.0;
-            }
-            ws.touched.clear();
-            for &(_, fi) in &ws.keyed[start..end] {
-                let fi = fi as usize;
-                for l in table.path(fi) {
-                    let idx = l.index();
-                    if ws.link_bytes[idx] == 0.0 {
-                        ws.touched.push(idx as u32);
-                    }
-                    ws.link_bytes[idx] += table.remaining[fi];
-                }
-            }
-            let gamma = ws
-                .touched
-                .iter()
-                .map(|&t| {
-                    let t = t as usize;
-                    if scratch.caps[t] > 0.0 {
-                        ws.link_bytes[t] / scratch.caps[t]
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .fold(0.0_f64, f64::max);
-            ws.order.push((gamma, cid, start as u32, end as u32));
-            start = end;
-        }
-        ws.order
-            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-        // MADD in SEBF order against residual capacities.
-        ws.residual.clear();
-        ws.residual.extend_from_slice(&scratch.caps);
-        for r in rates.iter_mut() {
-            *r = 0.0;
-        }
-        for oi in 0..ws.order.len() {
-            let (_, _, start, end) = ws.order[oi];
-            let members = &ws.keyed[start as usize..end as usize];
-            for &t in &ws.touched {
-                ws.link_bytes[t as usize] = 0.0;
-            }
-            ws.touched.clear();
-            for &(_, fi) in members {
-                let fi = fi as usize;
-                for l in table.path(fi) {
-                    let idx = l.index();
-                    if ws.link_bytes[idx] == 0.0 {
-                        ws.touched.push(idx as u32);
-                    }
-                    ws.link_bytes[idx] += table.remaining[fi];
-                }
-            }
-            // τ_c: finish time of the coflow using only residual capacity.
-            let tau = ws
-                .touched
-                .iter()
-                .map(|&t| {
-                    let t = t as usize;
-                    if ws.residual[t] > 1e-9 {
-                        ws.link_bytes[t] / ws.residual[t]
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .fold(0.0_f64, f64::max);
-            if !tau.is_finite() || tau <= 0.0 {
-                // Starved or empty: leave rates at zero; backfill may still
-                // help.
-                continue;
-            }
-            for &(_, fi) in members {
-                let fi = fi as usize;
-                let rate = table.remaining[fi] / tau;
-                rates[fi] = rate;
-                for l in table.path(fi) {
-                    let r = &mut ws.residual[l.index()];
-                    *r = (*r - rate).max(0.0);
-                }
-            }
-        }
-
-        // Work-conserving backfill: max-min over the residual capacity,
-        // added on top of the MADD rates.
-        ws.extra.clear();
-        ws.extra.resize(nf, 0.0);
-        maxmin::max_min_rates_csr(
-            &ws.residual,
-            table.flow_off,
-            table.flow_links,
-            &mut ws.extra,
-            &mut scratch.maxmin,
-        );
-        for (r, &e) in rates.iter_mut().zip(&ws.extra) {
-            if e.is_finite() {
-                *r += e;
-            }
-        }
-    }
-
-    fn coflow_incremental(&self) -> bool {
-        true
-    }
-
     fn allocate_dirty(
         &mut self,
         links: &[Link],
@@ -483,7 +234,7 @@ fn union(uf: &mut [u32], a: u32, b: u32) {
 
 /// Accumulates `members`' remaining bytes onto the links they cross
 /// (sparse, via `touched`), resolving fabric slots to table rows through
-/// `row_of`. Mirrors the eager path's fill idiom operation-for-operation:
+/// `row_of`. Mirrors [`solve_canonical`]'s fill operation-for-operation:
 /// members ascend by slot ⇔ rows ascend, so the float accumulation order
 /// is identical to a from-scratch grouped pass.
 fn fill_members(
@@ -569,11 +320,12 @@ fn solve_components(
     rounds
 }
 
-/// From-scratch coflow solve with the *canonical per-component* backfill:
-/// identical grouping, Γ, SEBF order, and MADD arithmetic to the eager
-/// [`VarysSebf::allocate_table`] path, but the work-conserving backfill
-/// decomposes over connected components and solves each on its compacted
-/// subproblem. A whole-graph water-fill is *not* bit-identical to that
+/// The from-scratch Varys solve: group flows into coflows, rank them by
+/// effective bottleneck Γ against full capacities (SEBF), assign MADD
+/// rates in that order against the shrinking residual, then backfill the
+/// residual max-min fairly. The work-conserving backfill decomposes over
+/// connected components and solves each on its canonical compacted
+/// subproblem: a whole-graph water-fill is *not* bit-identical to that
 /// (its global level accumulator orders float ops across components), so
 /// this decomposition is the definition both `allocate_dirty` and the
 /// fabric's shadow oracle share. Leaves the sorted group runs in
@@ -594,8 +346,9 @@ fn solve_canonical(
         varys: ws,
     } = scratch;
 
-    // Group flows into coflows (stable sort of (key, flow) pairs; see
-    // `allocate_table`).
+    // Group flows into coflows: stable sort of (key, flow) pairs makes
+    // runs of equal keys the groups, in ascending-key order with members
+    // ascending.
     ws.keyed.clear();
     ws.keyed
         .extend((0..nf).map(|i| (group_key(table.coflow[i], i), i as u32)));
@@ -1084,10 +837,31 @@ fn solve_incremental(
 mod tests {
     use super::*;
     use crate::link::LinkClass;
-    use corral_model::Bytes;
+    use corral_model::Bandwidth;
 
     fn link(cap: f64) -> Link {
         Link::new(LinkClass::RackUp, 0, Bandwidth(cap))
+    }
+
+    /// Runs the from-scratch solve over `(path, bytes, coflow)` flows.
+    fn solve(links: &[Link], flows: &[(&[LinkId], f64, Option<u64>)]) -> Vec<f64> {
+        let mut flow_off = vec![0u32];
+        let mut flow_links = Vec::new();
+        for (path, _, _) in flows {
+            flow_links.extend_from_slice(path);
+            flow_off.push(flow_links.len() as u32);
+        }
+        let remaining: Vec<f64> = flows.iter().map(|f| f.1).collect();
+        let coflow: Vec<Option<CoflowId>> = flows.iter().map(|f| f.2.map(CoflowId)).collect();
+        let table = FlowTable {
+            flow_off: &flow_off,
+            flow_links: &flow_links,
+            remaining: &remaining,
+            coflow: &coflow,
+        };
+        let mut rates = vec![0.0; flows.len()];
+        VarysSebf.allocate_from_scratch(links, &table, &mut rates, &mut AllocScratch::new());
+        rates
     }
 
     /// Two coflows on one link: the smaller finishes first at full rate
@@ -1097,25 +871,12 @@ mod tests {
     fn sebf_prioritizes_small_coflow() {
         let links = vec![link(100.0)];
         let path = [LinkId(0)];
-        let flows = [
-            FlowView {
-                path: &path,
-                remaining: Bytes(1000.0),
-                coflow: Some(CoflowId(0)),
-            },
-            FlowView {
-                path: &path,
-                remaining: Bytes(10.0),
-                coflow: Some(CoflowId(1)),
-            },
-        ];
-        let mut rates = [Bandwidth::ZERO; 2];
-        VarysSebf.allocate(&links, &flows, &mut rates);
+        let rates = solve(&links, &[(&path, 1000.0, Some(0)), (&path, 10.0, Some(1))]);
         // Coflow 1 (10 bytes) has smaller Γ: gets the whole link; coflow 0
         // gets the rest (0 here) — strictly prioritized, unlike fair share.
-        assert!(rates[1].0 > rates[0].0);
-        assert!((rates[0].0 + rates[1].0) <= 100.0 + 1e-6);
-        assert!((rates[1].0 - 100.0).abs() < 1e-6);
+        assert!(rates[1] > rates[0]);
+        assert!((rates[0] + rates[1]) <= 100.0 + 1e-6);
+        assert!((rates[1] - 100.0).abs() < 1e-6);
     }
 
     /// MADD: within one coflow, flows get rates proportional to their
@@ -1126,54 +887,31 @@ mod tests {
         // Bottleneck is link0: τ = 300/100 = 3s. Flow rates: 100, 33.3.
         // Backfill then tops flow 1 up to link1's full capacity.
         let links = vec![link(100.0), link(100.0)];
-        let p0 = [LinkId(0)];
-        let p1 = [LinkId(1)];
-        let flows = [
-            FlowView {
-                path: &p0,
-                remaining: Bytes(300.0),
-                coflow: Some(CoflowId(7)),
-            },
-            FlowView {
-                path: &p1,
-                remaining: Bytes(100.0),
-                coflow: Some(CoflowId(7)),
-            },
-        ];
-        let mut rates = [Bandwidth::ZERO; 2];
-        VarysSebf.allocate(&links, &flows, &mut rates);
-        assert!((rates[0].0 - 100.0).abs() < 1e-6);
+        let rates = solve(
+            &links,
+            &[
+                (&[LinkId(0)], 300.0, Some(7)),
+                (&[LinkId(1)], 100.0, Some(7)),
+            ],
+        );
+        assert!((rates[0] - 100.0).abs() < 1e-6);
         // MADD would give 33.3; work conservation raises it to 100.
-        assert!((rates[1].0 - 100.0).abs() < 1e-6);
+        assert!((rates[1] - 100.0).abs() < 1e-6);
     }
 
     #[test]
     fn feasible_under_contention() {
         let links = vec![link(50.0), link(80.0)];
-        let p0 = [LinkId(0), LinkId(1)];
-        let p1 = [LinkId(0)];
-        let p2 = [LinkId(1)];
-        let flows = [
-            FlowView {
-                path: &p0,
-                remaining: Bytes(500.0),
-                coflow: Some(CoflowId(1)),
-            },
-            FlowView {
-                path: &p1,
-                remaining: Bytes(200.0),
-                coflow: Some(CoflowId(2)),
-            },
-            FlowView {
-                path: &p2,
-                remaining: Bytes(900.0),
-                coflow: None,
-            },
-        ];
-        let mut rates = [Bandwidth::ZERO; 3];
-        VarysSebf.allocate(&links, &flows, &mut rates);
-        let load0 = rates[0].0 + rates[1].0;
-        let load1 = rates[0].0 + rates[2].0;
+        let rates = solve(
+            &links,
+            &[
+                (&[LinkId(0), LinkId(1)], 500.0, Some(1)),
+                (&[LinkId(0)], 200.0, Some(2)),
+                (&[LinkId(1)], 900.0, None),
+            ],
+        );
+        let load0 = rates[0] + rates[1];
+        let load1 = rates[0] + rates[2];
         assert!(load0 <= 50.0 + 1e-6, "link0 overloaded: {load0}");
         assert!(load1 <= 80.0 + 1e-6, "link1 overloaded: {load1}");
         // Work conservation: at least one link saturated.
@@ -1183,14 +921,7 @@ mod tests {
     #[test]
     fn coflowless_flows_still_progress() {
         let links = vec![link(10.0)];
-        let path = [LinkId(0)];
-        let flows = [FlowView {
-            path: &path,
-            remaining: Bytes(100.0),
-            coflow: None,
-        }];
-        let mut rates = [Bandwidth::ZERO];
-        VarysSebf.allocate(&links, &flows, &mut rates);
-        assert!((rates[0].0 - 10.0).abs() < 1e-6);
+        let rates = solve(&links, &[(&[LinkId(0)], 100.0, None)]);
+        assert!((rates[0] - 10.0).abs() < 1e-6);
     }
 }

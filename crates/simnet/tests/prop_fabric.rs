@@ -1,8 +1,8 @@
 //! Property tests for the fluid fabric: allocation invariants and
 //! end-to-end conservation.
 
-use corral_model::{Bandwidth, Bytes, ClusterConfig, MachineId};
-use corral_simnet::allocator::{FlowView, RateAllocator};
+use corral_model::{Bytes, ClusterConfig, MachineId};
+use corral_simnet::allocator::{AllocScratch, FlowTable, RateAllocator};
 use corral_simnet::maxmin::{link_loads, max_min_rates};
 use corral_simnet::{
     CoflowId, Fabric, FairShare, FlowKind, FlowSpec, FlowTag, LinkId, Topology, VarysSebf,
@@ -63,30 +63,36 @@ proptest! {
             .iter()
             .map(|(s, d, _, _)| topo.path(MachineId(*s), MachineId(*d)).as_slice().to_vec())
             .collect();
-        let views: Vec<FlowView<'_>> = filtered
-            .iter()
-            .zip(&paths_own)
-            .map(|((_, _, bytes, cf), p)| FlowView {
-                path: p.as_slice(),
-                remaining: Bytes(*bytes),
-                coflow: cf.map(CoflowId),
-            })
-            .collect();
-        let mut rates = vec![Bandwidth::ZERO; views.len()];
-        VarysSebf.allocate(topo.links(), &views, &mut rates);
+        let mut flow_off = vec![0u32];
+        let mut flow_links = Vec::new();
+        for p in &paths_own {
+            flow_links.extend_from_slice(p);
+            flow_off.push(flow_links.len() as u32);
+        }
+        let remaining: Vec<f64> = filtered.iter().map(|(_, _, bytes, _)| *bytes).collect();
+        let coflow: Vec<Option<CoflowId>> =
+            filtered.iter().map(|(_, _, _, cf)| cf.map(CoflowId)).collect();
+        let table = FlowTable {
+            flow_off: &flow_off,
+            flow_links: &flow_links,
+            remaining: &remaining,
+            coflow: &coflow,
+        };
+        let mut rates = vec![0.0; paths_own.len()];
+        VarysSebf.allocate_from_scratch(topo.links(), &table, &mut rates, &mut AllocScratch::new());
 
         let caps: Vec<f64> = topo.links().iter().map(|l| l.effective_capacity().0).collect();
         let mut loads = vec![0.0; caps.len()];
-        for (v, r) in views.iter().zip(&rates) {
-            for l in v.path {
-                loads[l.index()] += r.0;
+        for (p, r) in paths_own.iter().zip(&rates) {
+            for l in p {
+                loads[l.index()] += r;
             }
         }
         for (l, &load) in loads.iter().enumerate() {
             prop_assert!(load <= caps[l] * (1.0 + 1e-6) + 1e-6, "link {l} overloaded");
         }
         // Work conservation: at least one flow gets positive rate.
-        prop_assert!(rates.iter().any(|r| r.0 > 0.0));
+        prop_assert!(rates.iter().any(|&r| r > 0.0));
     }
 
     /// End-to-end conservation: draining random flows transfers exactly

@@ -169,8 +169,10 @@ pub enum ProbeCounter {
     /// Fabric recomputes that re-solved only the dirty bottleneck
     /// components (the incremental path).
     RecomputeIncremental,
-    /// Fabric recomputes that ran the full eager solve because the
-    /// allocator has no incremental form at all.
+    /// Fabric recomputes that ran a full solve because the allocator had
+    /// no incremental form. No longer incremented: every allocator runs
+    /// an incremental fabric mode. Kept so existing readers of the
+    /// `fabric.recompute_full_eager` label keep resolving (it reads 0).
     RecomputeFullEager,
     /// Coflow-local recomputes that degenerated to a full pass because
     /// the dirtied priority boundary covered the whole order (capacity
