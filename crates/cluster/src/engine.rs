@@ -25,6 +25,40 @@ use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+/// The set of machines worth re-offering to the policy, ordered
+/// rack-interleaved: position within the rack first, rack id second (the
+/// visit order [`Engine::dispatch`] needs).
+struct DirtyMachines {
+    /// `(position in rack, rack)` of each dirty machine.
+    set: BTreeSet<(usize, usize)>,
+    /// Machines per rack.
+    k: usize,
+}
+
+impl DirtyMachines {
+    fn new(machines_per_rack: usize) -> Self {
+        DirtyMachines {
+            set: BTreeSet::new(),
+            k: machines_per_rack,
+        }
+    }
+
+    fn insert(&mut self, m: MachineId) {
+        self.set.insert((m.index() % self.k, m.index() / self.k));
+    }
+
+    fn remove(&mut self, m: MachineId) {
+        self.set.remove(&(m.index() % self.k, m.index() / self.k));
+    }
+
+    /// The next machine to visit.
+    fn first(&self) -> Option<MachineId> {
+        self.set
+            .first()
+            .map(|&(pos, rack)| MachineId::from_index(rack * self.k + pos))
+    }
+}
+
 /// Cluster-side events.
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -117,7 +151,7 @@ pub struct Engine {
     rng: StdRng,
     metrics: BTreeMap<JobId, JobMetrics>,
     /// Machines worth re-offering to the policy.
-    dirty_machines: BTreeSet<MachineId>,
+    dirty_machines: DirtyMachines,
     job_index: BTreeMap<JobId, usize>,
     scheduler_label: String,
     /// The policy kind the engine was built with; late submissions
@@ -160,6 +194,7 @@ impl Engine {
             fabric.enable_utilization_sampling(bucket);
         }
         let dfs = Dfs::new(params.cluster.clone());
+        let dirty_machines = DirtyMachines::new(params.cluster.machines_per_rack);
         let mut rng = StdRng::seed_from_u64(params.seed);
 
         let mut rt_jobs: Vec<RtJob> = jobs
@@ -223,7 +258,7 @@ impl Engine {
             coflows: BTreeMap::new(),
             rng: StdRng::seed_from_u64(0),
             metrics: BTreeMap::new(),
-            dirty_machines: BTreeSet::new(),
+            dirty_machines,
             job_index,
             scheduler_label: String::new(),
             kind,
@@ -743,21 +778,19 @@ impl Engine {
     /// across all of its racks instead of packing into the lowest-numbered
     /// ones. The planner's latency model assumes exactly this uniform
     /// spread (§4.3), and packing would saturate individual racks and
-    /// starve the jobs planned onto them.
+    /// starve the jobs planned onto them. [`DirtyMachines`] keeps that
+    /// order, so each visit takes the first dirty machine in `O(log n)`.
+    /// A machine is dropped only after its offer loop, so re-dirtying it
+    /// from inside its own loop does not earn it a second visit.
     fn dispatch(&mut self) {
-        let k = self.st.params.cluster.machines_per_rack;
-        while let Some(&m) = self
-            .dirty_machines
-            .iter()
-            .min_by_key(|m| (m.index() % k, m.index() / k))
-        {
+        while let Some(m) = self.dirty_machines.first() {
             while !self.st.dead[m.index()] && self.st.free_slots[m.index()] > 0 {
                 match self.policy.pick(m, &self.st) {
                     Some(pick) => self.launch(pick, m),
                     None => break,
                 }
             }
-            self.dirty_machines.remove(&m);
+            self.dirty_machines.remove(m);
         }
     }
 
@@ -1551,7 +1584,7 @@ impl Engine {
             self.st.dead[m.index()] = true;
             self.st.free_slots[m.index()] = 0;
             self.dfs.kill_machine(m);
-            self.dirty_machines.remove(&m);
+            self.dirty_machines.remove(m);
         }
         if self.trace_on {
             for &m in &victims {
@@ -1813,4 +1846,80 @@ fn straggler_coin(seed: u64, job: JobId, stage: StageId, index: u32, attempt: u3
         h = fmix64(h ^ w.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     }
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Drives one dispatch pass over `set` (visiting in the structure's
+    /// order) and returns the visit sequence. Each visit re-dirties the
+    /// machines the script lists for it — including, sometimes, itself —
+    /// before the visited machine is removed, as a launch or completion
+    /// inside the offer loop would.
+    fn visits<S>(
+        mut set: S,
+        first: impl Fn(&S) -> Option<MachineId>,
+        insert: impl Fn(&mut S, MachineId),
+        remove: impl Fn(&mut S, MachineId),
+        initial: &[usize],
+        mid: &[Vec<usize>],
+    ) -> Vec<usize> {
+        for &m in initial {
+            insert(&mut set, MachineId::from_index(m));
+        }
+        let mut out = Vec::new();
+        while let Some(m) = first(&set) {
+            for &x in mid.get(out.len()).map(Vec::as_slice).unwrap_or(&[]) {
+                insert(&mut set, MachineId::from_index(x));
+            }
+            out.push(m.index());
+            remove(&mut set, m);
+        }
+        out
+    }
+
+    #[test]
+    fn dirty_machines_visit_in_min_by_key_order() {
+        let k = 5;
+        let n = 4 * k;
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut rng = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as usize
+        };
+        for _ in 0..200 {
+            let initial: Vec<usize> = (0..rng() % n).map(|_| rng() % n).collect();
+            let mid: Vec<Vec<usize>> = (0..2 * n)
+                .map(|_| (0..rng() % 3).map(|_| rng() % n).collect())
+                .collect();
+            let scan = visits(
+                BTreeSet::<MachineId>::new(),
+                |s| {
+                    s.iter()
+                        .min_by_key(|m| (m.index() % k, m.index() / k))
+                        .copied()
+                },
+                |s, m| {
+                    s.insert(m);
+                },
+                |s, m| {
+                    s.remove(&m);
+                },
+                &initial,
+                &mid,
+            );
+            let ordered = visits(
+                DirtyMachines::new(k),
+                DirtyMachines::first,
+                DirtyMachines::insert,
+                DirtyMachines::remove,
+                &initial,
+                &mid,
+            );
+            assert_eq!(scan, ordered);
+        }
+    }
 }

@@ -1,17 +1,19 @@
 //! Deterministic discrete-event kernel.
 //!
-//! Two schedulers live here:
+//! Three schedulers live here:
 //!
 //! * [`CalendarQueue`] — a bucketed (calendar-queue) future-event list.
 //!   Events hash into day-wide buckets by timestamp, so a pop scans one
 //!   short bucket instead of sifting an `O(log n)` heap; bucket count and
 //!   width resize deterministically from the queue contents alone. This
-//!   is the production scheduler behind [`EventQueue`] and the fabric's
-//!   completion calendar.
+//!   is the production scheduler behind [`EventQueue`].
+//! * [`CompletionHeap`] — an indexed binary min-heap holding at most one
+//!   keyed entry per dense slot, re-keyed and removed in place. This is
+//!   the fabric's flow-completion calendar.
 //! * [`HeapEventQueue`] — the original `BinaryHeap` implementation, kept
 //!   verbatim as the ordering oracle for property tests.
 //!
-//! Both pop events in `(time, insertion order)` order: equal-time events
+//! All three pop in `(time, insertion order)` order: equal-time events
 //! fire in insertion order (a strictly monotone sequence number breaks
 //! ties), which is what makes whole-simulation runs reproducible
 //! bit-for-bit. The payload type is generic so higher layers (the cluster
@@ -236,20 +238,6 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Keeps only items whose payload satisfies `f`; used to vacuum
-    /// lazily invalidated entries.
-    pub fn retain(&mut self, mut f: impl FnMut(&E) -> bool) {
-        for bucket in &mut self.buckets {
-            bucket.retain(|it| f(&it.payload));
-        }
-        self.park.retain(|it| f(&it.payload));
-        self.finite = self.buckets.iter().map(Vec::len).sum();
-        let nb = self.buckets.len();
-        if nb > MIN_BUCKETS && self.finite < nb / 4 {
-            self.rebuild((nb / 2).max(MIN_BUCKETS));
-        }
-    }
-
     /// Re-buckets every finite item into `nb` buckets, re-deriving the
     /// width from the live span so occupancy stays near one item per
     /// bucket-day. Purely content-driven ⇒ deterministic.
@@ -286,11 +274,232 @@ impl<E> CalendarQueue<E> {
             self.buckets[b].push(it);
         }
     }
+}
 
-    /// Reserved element capacity across all buckets (scratch-footprint
-    /// accounting).
-    pub fn footprint(&self) -> usize {
-        self.buckets.iter().map(Vec::capacity).sum::<usize>() + self.park.capacity()
+/// Sentinel for "no entry" in [`CompletionHeap`]'s slot → position map.
+const NO_POS: u32 = u32::MAX;
+
+/// One keyed entry in a [`CompletionHeap`].
+#[derive(Debug, Clone, Copy)]
+struct HeapItem {
+    time: f64,
+    seq: u64,
+    slot: u32,
+}
+
+impl HeapItem {
+    /// Strict `(time, seq)` order, the pop order of every queue here.
+    #[inline]
+    fn before(&self, other: &HeapItem) -> bool {
+        match self.time.total_cmp(&other.time) {
+            Ordering::Less => true,
+            Ordering::Equal => self.seq < other.seq,
+            Ordering::Greater => false,
+        }
+    }
+}
+
+/// An indexed binary min-heap over dense `u32` slots: each slot holds at
+/// most one entry, keyed by `(time, set sequence)`.
+///
+/// [`CompletionHeap::set`] stamps the entry with a fresh, strictly
+/// increasing sequence number — whether it inserts the slot or re-keys it
+/// in place — so live entries pop in exactly the `(time, insertion order)`
+/// order a lazily-invalidated queue would give them if every `set` were a
+/// push and every superseded entry were skipped. [`CompletionHeap::remove`]
+/// drops a slot's entry in place, so the heap never holds more entries
+/// than live slots and never has stale entries to skim.
+///
+/// The slot → position map grows with the highest slot ever set.
+///
+/// ```
+/// use corral_simnet::CompletionHeap;
+///
+/// let mut h = CompletionHeap::new();
+/// h.set(7, 2.0);
+/// h.set(3, 1.0);
+/// h.set(7, 1.0); // re-key: ties with slot 3, set later ⇒ pops after it
+/// h.set(5, 0.5);
+/// h.remove(5);
+/// assert_eq!(h.pop(), Some((1.0, 3)));
+/// assert_eq!(h.pop(), Some((1.0, 7)));
+/// assert!(h.pop().is_none());
+/// ```
+#[derive(Debug, Default)]
+pub struct CompletionHeap {
+    heap: Vec<HeapItem>,
+    /// Heap index of each slot's entry (`NO_POS` when absent).
+    pos: Vec<u32>,
+    seq: u64,
+}
+
+impl CompletionHeap {
+    /// Creates an empty heap.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of entries (one per keyed slot).
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// True when no slot is keyed.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Heap index of `slot`'s entry, if it has one.
+    #[inline]
+    fn index_of(&self, slot: u32) -> Option<usize> {
+        match self.pos.get(slot as usize) {
+            Some(&i) if i != NO_POS => Some(i as usize),
+            _ => None,
+        }
+    }
+
+    /// The time `slot` is keyed at, if it has an entry.
+    pub fn get(&self, slot: u32) -> Option<f64> {
+        self.index_of(slot).map(|i| self.heap[i].time)
+    }
+
+    /// Keys `slot` at `time` with a fresh sequence number, inserting its
+    /// entry or moving the existing one in place.
+    ///
+    /// # Panics
+    /// Panics if `time` is NaN.
+    pub fn set(&mut self, slot: u32, time: f64) {
+        assert!(!time.is_nan(), "completion keyed at NaN time");
+        let item = HeapItem {
+            time,
+            seq: self.seq,
+            slot,
+        };
+        self.seq += 1;
+        match self.index_of(slot) {
+            Some(i) => {
+                let old = self.heap[i];
+                self.heap[i] = item;
+                if item.before(&old) {
+                    self.sift_up(i);
+                } else {
+                    self.sift_down(i);
+                }
+            }
+            None => {
+                let s = slot as usize;
+                if s >= self.pos.len() {
+                    self.pos.resize(s + 1, NO_POS);
+                }
+                self.heap.push(item);
+                self.sift_up(self.heap.len() - 1);
+            }
+        }
+    }
+
+    /// Drops `slot`'s entry, returning the time it was keyed at (`None`
+    /// if it had none).
+    pub fn remove(&mut self, slot: u32) -> Option<f64> {
+        let i = self.index_of(slot)?;
+        self.pos[slot as usize] = NO_POS;
+        let old = self.heap.swap_remove(i);
+        if i < self.heap.len() {
+            let moved = self.heap[i];
+            if moved.before(&old) {
+                self.sift_up(i);
+            } else {
+                self.sift_down(i);
+            }
+        }
+        Some(old.time)
+    }
+
+    /// Time and slot of the earliest entry without removing it.
+    #[inline]
+    pub fn peek(&self) -> Option<(f64, u32)> {
+        self.heap.first().map(|it| (it.time, it.slot))
+    }
+
+    /// Removes and returns the earliest entry.
+    pub fn pop(&mut self) -> Option<(f64, u32)> {
+        let (time, slot) = self.peek()?;
+        self.remove(slot);
+        Some((time, slot))
+    }
+
+    /// Every entry as `(time, slot)`, in heap (not pop) order.
+    pub fn iter(&self) -> impl Iterator<Item = (f64, u32)> + '_ {
+        self.heap.iter().map(|it| (it.time, it.slot))
+    }
+
+    /// Asserts the heap's structural invariants: every entry's slot maps
+    /// back to that entry's position (so no slot has two entries), and no
+    /// entry sorts before its parent. `O(len)`; a tripwire for tests and
+    /// debug oracles.
+    ///
+    /// # Panics
+    /// Panics on the first violated invariant.
+    pub fn check(&self) {
+        for (i, it) in self.heap.iter().enumerate() {
+            assert_eq!(
+                self.index_of(it.slot),
+                Some(i),
+                "completion heap: slot {} at index {i} is not indexed there",
+                it.slot
+            );
+            if i > 0 {
+                let parent = &self.heap[(i - 1) / 2];
+                assert!(
+                    !it.before(parent),
+                    "completion heap: index {i} sorts before its parent"
+                );
+            }
+        }
+    }
+
+    /// Moves the entry at `i` toward the root until its parent precedes it.
+    fn sift_up(&mut self, mut i: usize) {
+        let item = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heap[parent];
+            if !item.before(&p) {
+                break;
+            }
+            self.heap[i] = p;
+            self.pos[p.slot as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = item;
+        self.pos[item.slot as usize] = i as u32;
+    }
+
+    /// Moves the entry at `i` toward the leaves until it precedes both
+    /// children.
+    fn sift_down(&mut self, mut i: usize) {
+        let n = self.heap.len();
+        let item = self.heap[i];
+        loop {
+            let l = 2 * i + 1;
+            if l >= n {
+                break;
+            }
+            let r = l + 1;
+            let c = if r < n && self.heap[r].before(&self.heap[l]) {
+                r
+            } else {
+                l
+            };
+            let child = self.heap[c];
+            if !child.before(&item) {
+                break;
+            }
+            self.heap[i] = child;
+            self.pos[child.slot as usize] = i as u32;
+            i = c;
+        }
+        self.heap[i] = item;
+        self.pos[item.slot as usize] = i as u32;
     }
 }
 
@@ -383,7 +592,8 @@ impl<E> EventQueue<E> {
 
 /// The original `BinaryHeap`-backed event queue, kept verbatim as the
 /// ordering oracle: property tests drive [`EventQueue`] and this queue
-/// with identical schedules and assert identical pop streams.
+/// with identical schedules and assert identical pop streams, and drive
+/// [`CompletionHeap`] against a generation-stamped model built on it.
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
@@ -570,14 +780,42 @@ mod tests {
     }
 
     #[test]
-    fn retain_drops_and_keeps() {
-        let mut q = CalendarQueue::new();
-        for i in 0..50 {
-            q.push(i as f64, i);
+    fn completion_heap_rekeys_and_removes_in_place() {
+        let mut h = CompletionHeap::new();
+        for s in 0..20u32 {
+            h.set(s, f64::from(20 - s));
         }
-        q.retain(|&i| i % 2 == 0);
-        assert_eq!(q.len(), 25);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
-        assert_eq!(order, (0..50).step_by(2).collect::<Vec<_>>());
+        h.check();
+        // Re-key half the slots (some earlier, some later), drop a few.
+        for s in (0..20u32).step_by(2) {
+            h.set(s, f64::from(s) * 0.5);
+        }
+        for s in [3u32, 7, 11] {
+            assert!(h.remove(s).is_some());
+        }
+        assert_eq!(h.remove(3), None);
+        h.check();
+        assert_eq!(h.len(), 17);
+        assert_eq!(h.get(4), Some(2.0));
+        assert_eq!(h.get(7), None);
+        let mut last = (f64::NEG_INFINITY, 0u32);
+        let mut popped = 0;
+        while let Some((t, s)) = h.pop() {
+            assert!(t >= last.0, "pop stream went backwards at slot {s}");
+            last = (t, s);
+            popped += 1;
+        }
+        assert_eq!(popped, 17);
+    }
+
+    #[test]
+    fn completion_heap_ties_pop_in_set_order() {
+        let mut h = CompletionHeap::new();
+        h.set(4, 1.0);
+        h.set(2, 1.0);
+        h.set(9, 1.0);
+        h.set(4, 1.0); // re-set: now the latest of the tie
+        let order: Vec<u32> = std::iter::from_fn(|| h.pop().map(|(_, s)| s)).collect();
+        assert_eq!(order, vec![2, 9, 4]);
     }
 }

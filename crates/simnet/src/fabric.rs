@@ -19,9 +19,10 @@
 //!   dirties only its endpoint links; the recompute dissolves just the
 //!   components owning those links, re-runs waterfilling over the affected
 //!   flows, and splices the rates back. Everything else keeps its rate,
-//!   its completion deadline stays queued in a calendar queue
-//!   ([`CalendarQueue`]), and its byte accounting is materialized lazily
-//!   (at re-solve, completion, cancellation, or [`Fabric::flush_accounting`]).
+//!   its completion deadline stays keyed in an indexed completion heap
+//!   ([`CompletionHeap`]: one entry per flow, re-keyed or removed in
+//!   place), and its byte accounting is materialized lazily (at re-solve,
+//!   completion, cancellation, or [`Fabric::flush_accounting`]).
 //! * **CoflowIncremental** (Varys/SEBF): the policy couples flows across
 //!   components through a priority order, but that order depends only on
 //!   per-coflow *scheduling* bytes, which this fabric freezes at admission
@@ -32,7 +33,7 @@
 //!   [`RateAllocator::allocate_dirty`]; the allocator re-ranks only the
 //!   touched coflows and re-solves only the dirtied bottleneck
 //!   components, and the fabric splices back exactly the rates whose bits
-//!   changed. Byte accounting, deadlines, and the completion calendar are
+//!   changed. Byte accounting, deadlines, and the completion heap are
 //!   shared with the Incremental mode. Coflow identity uses stable keys:
 //!   the coflow id when present, else a synthetic per-slot singleton key
 //!   (bit 63 set), so group membership never shifts as rows come and go.
@@ -47,11 +48,13 @@
 //! (In CoflowIncremental mode the oracle is
 //! [`RateAllocator::allocate_from_scratch`] over the same CSR — the
 //! canonical SEBF + MADD + per-component backfill with no cached state.)
-//! The oracle never drives simulation state, so runs with it on and off
-//! produce byte-identical event streams and statistics.
+//! The oracle also asserts the completion heap holds exactly one entry,
+//! keyed at its deadline, for every alive flow with a finite deadline and
+//! none for any other slot. It never drives simulation state, so runs with
+//! it on and off produce byte-identical event streams and statistics.
 
 use crate::allocator::{AllocScratch, DirtyCtx, DirtyOutcome, FlowTable, RateAllocator};
-use crate::engine::CalendarQueue;
+use crate::engine::CompletionHeap;
 use crate::flow::{CoflowId, FlowKind, FlowSpec, FlowState, FlowTag};
 use crate::link::LinkId;
 use crate::stats::FabricStats;
@@ -236,11 +239,9 @@ struct IncState {
     epoch: Vec<f64>,
     /// Remaining bytes as of `epoch`.
     rem: Vec<f64>,
-    /// Completion deadline under the current rate (`+inf` if pinned).
+    /// Completion deadline under the current rate (`+inf` if pinned or
+    /// pending); keyed in `heap` exactly when finite and the flow alive.
     deadline: Vec<f64>,
-    /// Generation stamp; calendar entries carry the generation they were
-    /// pushed with and are skipped as stale once it moves on.
-    gen: Vec<u32>,
     /// Component membership (`NO_COMP` for local / dead / pending flows).
     comp_of: Vec<u32>,
     // -- per-link --
@@ -281,8 +282,9 @@ struct IncState {
     /// `(stable group key, slot)` of flows admitted since the last coflow
     /// recompute, ascending slot order, dead-filtered.
     added: Vec<(u64, u32)>,
-    /// Completion calendar: `(flow slot, generation)` at the deadline.
-    queue: CalendarQueue<(u32, u32)>,
+    /// Completion calendar: one entry per alive flow with a finite
+    /// deadline, keyed `(deadline, set sequence)`.
+    heap: CompletionHeap,
     // -- recompute scratch --
     /// Monotone round counter for the stamp arrays.
     round: u64,
@@ -342,9 +344,10 @@ impl IncState {
     /// elements. Deliberately O(1) to compute — an O(live flows) walk per
     /// recompute would defeat the incremental path's point. Excluded by
     /// design: the per-flow arrays including `row_of` (they grow with the
-    /// flow id space, not with leaks), the calendar queue (its bucket
-    /// count tracks pending entries), `comp_flows` inner vectors, and the
-    /// oracle scratch (arming the oracle must not perturb stats).
+    /// flow id space, not with leaks), the completion heap (its slot map
+    /// grows with the flow id space, its entries track live deadlines),
+    /// `comp_flows` inner vectors, and the oracle scratch (arming the
+    /// oracle must not perturb stats).
     fn footprint(&self) -> usize {
         self.link_comp.capacity()
             + self.link_first.capacity()
@@ -692,7 +695,7 @@ impl Fabric {
             inc.pending_departed
                 .push((stable_coflow_key(f.spec.coflow, s), s as u32));
         }
-        inc.gen[s] = inc.gen[s].wrapping_add(1);
+        inc.heap.remove(s as u32);
         inc.dead += 1;
         for &l in f.path.as_slice() {
             inc.pending_links.push(l);
@@ -726,7 +729,7 @@ impl Fabric {
             self.recompute_lazy();
         }
         let now = self.now;
-        self.peek_fresh().map(|t| SimTime(t).max(now))
+        self.inc.heap.peek().map(|(t, _)| SimTime(t).max(now))
     }
 
     /// Advances the fabric clock to `t`, transferring bytes and collecting
@@ -861,7 +864,6 @@ impl Fabric {
         debug_assert_eq!(inc.rate.len(), s, "flow slots must register in order");
         inc.epoch.push(now);
         inc.rem.push(rem);
-        inc.gen.push(0);
         inc.comp_of.push(NO_COMP);
         if local {
             let rate = self.local_rate.0;
@@ -869,7 +871,7 @@ impl Fabric {
             inc.rate.push(rate);
             inc.deadline.push(d);
             if d.is_finite() {
-                inc.queue.push(d, (s as u32, 0));
+                inc.heap.set(s as u32, d);
             }
         } else {
             inc.rate.push(0.0);
@@ -942,22 +944,6 @@ impl Fabric {
         }
     }
 
-    /// Skims stale calendar entries (dead slot or superseded generation)
-    /// off the top of the completion queue and returns the next *fresh*
-    /// deadline, leaving its entry queued.
-    fn peek_fresh(&mut self) -> Option<f64> {
-        loop {
-            let (t, slot, gen) = {
-                let (t, &(slot, gen)) = self.inc.queue.peek()?;
-                (t, slot as usize, gen)
-            };
-            if self.flows[slot].is_some() && self.inc.gen[slot] == gen {
-                return Some(t);
-            }
-            self.inc.queue.pop();
-        }
-    }
-
     /// Amortized compaction of the active list: once dead slots dominate,
     /// one `retain` pass drops them all.
     fn maybe_purge_active(&mut self) {
@@ -968,17 +954,16 @@ impl Fabric {
         }
     }
 
-    /// The incremental advance loop: recompute the dirty components, pop
-    /// fresh completion deadlines up to `t`, settle each completed flow's
-    /// accounting, and mark its freed links dirty for the next round.
+    /// The incremental advance loop: recompute the dirty components, take
+    /// completion deadlines off the heap up to `t`, settle each completed
+    /// flow's accounting, and mark its freed links dirty for the next round.
     fn advance_collect_incremental(&mut self, t: SimTime, out: &mut Vec<CompletedFlow>) {
         loop {
             if self.dirty {
                 self.recompute_lazy();
             }
-            match self.peek_fresh() {
-                Some(tc) if tc <= t.0 => {
-                    let (time, (slot, _gen)) = self.inc.queue.pop().unwrap();
+            match self.inc.heap.peek() {
+                Some((time, slot)) if time <= t.0 => {
                     let tc = SimTime(time).max(self.now);
                     self.now = tc;
                     self.complete_incremental(slot as usize, tc, out);
@@ -990,8 +975,10 @@ impl Fabric {
                     // at the same instant) — without paying one full MADD
                     // replay per same-time completion.
                     if self.mode == Mode::CoflowIncremental {
-                        while self.peek_fresh() == Some(time) {
-                            let (_, (s2, _g2)) = self.inc.queue.pop().unwrap();
+                        while let Some((t2, s2)) = self.inc.heap.peek() {
+                            if t2 != time {
+                                break;
+                            }
                             self.complete_incremental(s2 as usize, tc, out);
                         }
                     }
@@ -1004,12 +991,12 @@ impl Fabric {
         }
     }
 
-    /// Completes one calendar-popped flow at `tc`: settles its lazy byte
-    /// accounting over `[epoch, deadline)` (the solved deadline is exact,
-    /// so the flow completes here unconditionally — the sub-byte residual
-    /// closed-form arithmetic may leave is dropped),
-    /// records its departure, dirties its freed links, and emits the
-    /// completion.
+    /// Completes the flow at the top of the completion heap at `tc`:
+    /// settles its lazy byte accounting over `[epoch, deadline)` (the
+    /// solved deadline is exact, so the flow completes here
+    /// unconditionally — the sub-byte residual closed-form arithmetic may
+    /// leave is dropped), removes its heap entry, records its departure,
+    /// dirties its freed links, and emits the completion.
     fn complete_incremental(&mut self, s: usize, tc: SimTime, out: &mut Vec<CompletedFlow>) {
         self.materialize_flow(s, tc.0);
         {
@@ -1020,7 +1007,7 @@ impl Fabric {
             if self.mode == Mode::CoflowIncremental && !path.is_empty() {
                 inc.pending_departed.push((key, s as u32));
             }
-            inc.gen[s] = inc.gen[s].wrapping_add(1);
+            inc.heap.remove(s as u32);
             inc.dead += 1;
             for &l in path.as_slice() {
                 inc.pending_links.push(l);
@@ -1035,7 +1022,7 @@ impl Fabric {
     /// Incremental rate maintenance: dissolve only the components owning a
     /// dirtied link, re-solve the affected flows on canonical compacted
     /// subproblems, and splice rates + deadlines back. Every other flow's
-    /// rate, deadline, and queued calendar entry stay untouched.
+    /// rate, deadline, and completion-heap entry stay untouched.
     fn recompute_incremental(&mut self) {
         let _probe = probe::span(probe::SpanKind::FabricRecompute);
         self.dirty = false;
@@ -1159,8 +1146,8 @@ impl Fabric {
 
         // Phase 6: solve each new component on its canonical compacted
         // subproblem (links deduped + sorted ascending, compact ids by
-        // rank, members ascending) and splice rates, deadlines, and fresh
-        // calendar entries back.
+        // rank, members ascending) and splice rates, deadlines, and
+        // re-keyed completion-heap entries back.
         let mut rounds_total: u64 = 0;
         let dirtied = self.inc.cand.len() as u64;
         {
@@ -1231,9 +1218,10 @@ impl Fabric {
                     // Epoch is `now` from phase 2's materialization.
                     let d = deadline_for(now, inc.rem[s], rate);
                     inc.deadline[s] = d;
-                    inc.gen[s] = inc.gen[s].wrapping_add(1);
                     if d.is_finite() {
-                        inc.queue.push(d, (s as u32, inc.gen[s]));
+                        inc.heap.set(s as u32, d);
+                    } else {
+                        inc.heap.remove(s as u32);
                     }
                 }
             }
@@ -1249,16 +1237,6 @@ impl Fabric {
             self.stats.scratch_grows += 1;
             probe::count(probe::ProbeCounter::FabricScratchGrow, 1);
         }
-        // Calendar hygiene: once stale entries dominate the live flows,
-        // vacuum them in one deterministic pass.
-        let alive = self.active.len().saturating_sub(self.inc.dead);
-        if self.inc.queue.len() > 4 * alive + 1024 {
-            let IncState {
-                queue, gen: gens, ..
-            } = &mut self.inc;
-            let flows = &self.flows;
-            queue.retain(|&(s, g)| flows[s as usize].is_some() && gens[s as usize] == g);
-        }
         if self.oracle {
             self.oracle_check();
         }
@@ -1268,7 +1246,7 @@ impl Fabric {
     /// network flows (O(alive) — cheap next to the O(alive·links)
     /// from-scratch *solve*), hand the allocator the event delta,
     /// and splice back exactly the rates whose bits changed. Unchanged
-    /// flows keep their rate, deadline, queued calendar entry, and lazy
+    /// flows keep their rate, deadline, completion-heap entry, and lazy
     /// byte accounting epoch.
     ///
     /// The CSR's `remaining` column carries the *frozen-at-admission*
@@ -1398,7 +1376,7 @@ impl Fabric {
         probe::count(probe::ProbeCounter::FabricDirtyFlowsSum, dirtied);
         probe::count(probe::ProbeCounter::FabricDirtyFlowsSamples, 1);
 
-        // Splice: settle accounting and refresh deadline + calendar entry
+        // Splice: settle accounting and refresh deadline + heap entry
         // for exactly the flows whose rate bits moved.
         for row in 0..nrows {
             let s = self.inc.csr_slots[row] as usize;
@@ -1411,9 +1389,10 @@ impl Fabric {
             inc.rate[s] = rate;
             let d = deadline_for(now, inc.rem[s], rate);
             inc.deadline[s] = d;
-            inc.gen[s] = inc.gen[s].wrapping_add(1);
             if d.is_finite() {
-                inc.queue.push(d, (s as u32, inc.gen[s]));
+                inc.heap.set(s as u32, d);
+            } else {
+                inc.heap.remove(s as u32);
             }
         }
         // New flows whose solved rate equals the registration default
@@ -1426,8 +1405,7 @@ impl Fabric {
                 let d = deadline_for(now, inc.rem[s], inc.rate[s]);
                 if d.is_finite() {
                     inc.deadline[s] = d;
-                    inc.gen[s] = inc.gen[s].wrapping_add(1);
-                    inc.queue.push(d, (s as u32, inc.gen[s]));
+                    inc.heap.set(s as u32, d);
                 }
             }
         }
@@ -1446,16 +1424,6 @@ impl Fabric {
                 (varys_fp - self.last_varys_footprint) as u64,
             );
             self.last_varys_footprint = varys_fp;
-        }
-        // Calendar hygiene: once stale entries dominate the live flows,
-        // vacuum them in one deterministic pass.
-        let alive = self.active.len();
-        if self.inc.queue.len() > 4 * alive + 1024 {
-            let IncState {
-                queue, gen: gens, ..
-            } = &mut self.inc;
-            let flows = &self.flows;
-            queue.retain(|&(s, g)| flows[s as usize].is_some() && gens[s as usize] == g);
         }
         if self.oracle {
             self.oracle_check_coflow();
@@ -1503,6 +1471,40 @@ impl Fabric {
                 got.to_bits(),
                 want.to_bits()
             );
+        }
+        self.oracle_check_heap();
+    }
+
+    /// Completion-heap consistency, checked by both oracles: the heap's
+    /// slot map and entries agree; every entry belongs to an alive flow
+    /// and is keyed at its finite deadline; and every alive flow with a
+    /// finite deadline has an entry. Together these give exactly one
+    /// entry per alive finite-deadline flow and none for dead, pinned or
+    /// pending slots. `O(alive + entries)`; reads only.
+    fn oracle_check_heap(&self) {
+        let inc = &self.inc;
+        inc.heap.check();
+        for (t, s) in inc.heap.iter() {
+            let s = s as usize;
+            assert!(
+                self.flows[s].is_some(),
+                "completion heap holds an entry for finished flow {s}"
+            );
+            let d = inc.deadline[s];
+            assert!(
+                d.is_finite() && t.to_bits() == d.to_bits(),
+                "completion heap keys flow {s} at {t}, its deadline is {d}"
+            );
+        }
+        for id in &self.active {
+            let s = id.index();
+            if self.flows[s].is_some() && inc.deadline[s].is_finite() {
+                assert!(
+                    inc.heap.get(s as u32).is_some(),
+                    "flow {s} has deadline {} but no completion-heap entry",
+                    inc.deadline[s]
+                );
+            }
         }
     }
 
@@ -1645,6 +1647,7 @@ impl Fabric {
                 );
             }
         }
+        self.oracle_check_heap();
     }
 }
 
@@ -1735,6 +1738,36 @@ mod tests {
         let done = f.advance_to(SimTime::secs(10.0));
         // 5 Gbps left = 0.625 GB/s => 1 s.
         assert!((done[0].finished.as_secs() - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn pinned_flows_leave_the_completion_heap() {
+        use crate::varys::VarysSebf;
+        let allocators: [Box<dyn RateAllocator>; 2] = [Box::new(FairShare), Box::new(VarysSebf)];
+        for alloc in allocators {
+            let mut f = Fabric::new(ClusterConfig::tiny_test(), alloc);
+            // One two-flow coflow shares rack 0's 1.25 GB/s uplink.
+            for i in 0..2 {
+                let mut sp = spec(i, 4 + i, 1.25);
+                sp.coflow = Some(crate::flow::CoflowId(0));
+                f.start_flow(sp);
+            }
+            assert!(f.advance_to(SimTime::secs(0.5)).is_empty());
+            // Saturate rack 0's core links down to their 1 B/s capacity
+            // floor: both policies split it into negligible rates, so both
+            // flows are pinned, their deadlines turn infinite, and their
+            // heap entries must go (the oracle checks it).
+            f.set_rack_background(RackId(0), Bandwidth::gbps(10.0));
+            assert_eq!(f.next_completion(), None, "{}", f.allocator_name());
+            f.recompute_full();
+            assert!(f.advance_to(SimTime::secs(2.0)).is_empty());
+            // Lifting the reservation re-keys them: 1.875 GB left in
+            // total, drained work-conservingly at 1.25 GB/s from t = 2 s.
+            f.set_rack_background(RackId(0), Bandwidth::ZERO);
+            let done = f.drain();
+            assert_eq!(done.len(), 2, "{}", f.allocator_name());
+            assert!((done[1].finished.as_secs() - 3.5).abs() < 1e-6);
+        }
     }
 
     #[test]

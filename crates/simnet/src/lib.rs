@@ -71,7 +71,7 @@ pub use allocator::{
     AllocScratch, DirtyCtx, DirtyOutcome, FairShare, FlowTable, RateAllocator,
     ReferenceFairShare, VarysSebf,
 };
-pub use engine::{CalendarQueue, EventQueue, HeapEventQueue};
+pub use engine::{CalendarQueue, CompletionHeap, EventQueue, HeapEventQueue};
 pub use fabric::{CompletedFlow, Fabric};
 pub use flow::{CoflowId, FlowKind, FlowSpec, FlowTag};
 pub use link::{LinkClass, LinkId};

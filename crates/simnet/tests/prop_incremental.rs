@@ -16,11 +16,14 @@
 //! The calendar queue must preserve the `BinaryHeap` scheduler's exact
 //! `(time, insertion order)` pop order, including equal-time ties and
 //! `+inf` deadlines; `HeapEventQueue` is kept verbatim as that oracle.
+//! The fabric's indexed completion heap must pop its live entries in the
+//! order `HeapEventQueue` gives them when every set is a push and every
+//! superseded or removed entry is skipped on pop.
 
 use corral_model::{Bandwidth, Bytes, ClusterConfig, MachineId, RackId, SimTime};
 use corral_simnet::{
-    CoflowId, EventQueue, Fabric, FairShare, FlowKind, FlowSpec, FlowTag, HeapEventQueue,
-    RateAllocator, ReferenceFairShare, VarysSebf,
+    CoflowId, CompletionHeap, EventQueue, Fabric, FairShare, FlowKind, FlowSpec, FlowTag,
+    HeapEventQueue, RateAllocator, ReferenceFairShare, VarysSebf,
 };
 use proptest::prelude::*;
 
@@ -230,6 +233,100 @@ proptest! {
             let b = heap.pop();
             prop_assert_eq!(a, b);
             if a.is_none() {
+                break;
+            }
+        }
+    }
+}
+
+/// One step of a completion-heap script: `(op, slot, time_bucket)`.
+/// `op` 0–1 sets the slot (insert or re-key), 2 removes it, 3 pops.
+fn heap_steps(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u8, u32, u8)>> {
+    proptest::collection::vec((0u8..4, 0u32..16, 0u8..4), n)
+}
+
+/// The lazily-invalidated model of a completion heap: every set pushes a
+/// generation-stamped entry into a `HeapEventQueue`, and pops skip
+/// entries whose slot was removed or re-keyed since.
+struct LazyModel {
+    queue: HeapEventQueue<(u32, u32)>,
+    gen: Vec<u32>,
+    key: Vec<Option<f64>>,
+}
+
+impl LazyModel {
+    fn new(slots: usize) -> Self {
+        LazyModel {
+            queue: HeapEventQueue::new(),
+            gen: vec![0; slots],
+            key: vec![None; slots],
+        }
+    }
+
+    fn set(&mut self, slot: u32, at: f64) {
+        let s = slot as usize;
+        self.gen[s] += 1;
+        self.key[s] = Some(at);
+        self.queue.schedule(SimTime(at), (slot, self.gen[s]));
+    }
+
+    fn remove(&mut self, slot: u32) {
+        let s = slot as usize;
+        self.gen[s] += 1;
+        self.key[s] = None;
+    }
+
+    fn pop(&mut self) -> Option<(f64, u32)> {
+        loop {
+            let (t, (slot, g)) = self.queue.pop()?;
+            let s = slot as usize;
+            if self.key[s].is_some() && self.gen[s] == g {
+                self.key[s] = None;
+                return Some((t.0, slot));
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The completion heap pops live entries in exactly the lazy model's
+    /// `(time, seq)` order under random set / re-key / remove / pop
+    /// scripts with coarse time buckets forcing equal-time ties, and its
+    /// per-slot keys and structure stay consistent after every step.
+    #[test]
+    fn completion_heap_matches_lazy_heap_order(script in heap_steps(1..96)) {
+        let mut heap = CompletionHeap::new();
+        let mut model = LazyModel::new(16);
+        for (op, slot, bucket) in script {
+            match op {
+                0 | 1 => {
+                    // Never before the model's clock, as in the fabric.
+                    let at = model.queue.now().0 + f64::from(bucket) * 0.25;
+                    heap.set(slot, at);
+                    model.set(slot, at);
+                }
+                2 => {
+                    prop_assert_eq!(heap.remove(slot), model.key[slot as usize]);
+                    model.remove(slot);
+                }
+                _ => {
+                    let want = model.pop();
+                    prop_assert_eq!(heap.peek(), want);
+                    prop_assert_eq!(heap.pop(), want);
+                }
+            }
+            heap.check();
+            for s in 0..16u32 {
+                prop_assert_eq!(heap.get(s), model.key[s as usize]);
+            }
+            prop_assert_eq!(heap.len(), model.key.iter().flatten().count());
+        }
+        loop {
+            let want = model.pop();
+            prop_assert_eq!(heap.pop(), want);
+            if want.is_none() {
                 break;
             }
         }
