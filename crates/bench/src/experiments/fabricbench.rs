@@ -89,8 +89,7 @@ const GOLDEN_RECOMPUTES: [(&str, u64); 3] = [("small", 7996), ("medium", 11954),
 /// with the oracle armed or not — that identity is itself asserted).
 /// `varys-small` backs the perfreport tripwire, `varys-medium` the
 /// interleaved bench cell.
-const GOLDEN_VARYS_RECOMPUTES: [(&str, u64); 2] =
-    [("varys-small", 7913), ("varys-medium", 11904)];
+const GOLDEN_VARYS_RECOMPUTES: [(&str, u64); 2] = [("varys-small", 7913), ("varys-medium", 11904)];
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

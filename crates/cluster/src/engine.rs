@@ -59,6 +59,14 @@ impl DirtyMachines {
     }
 }
 
+/// FIFO order: arrival, then job id.
+fn fifo_cmp(a: &RtJob, b: &RtJob) -> std::cmp::Ordering {
+    a.spec
+        .arrival
+        .total_cmp(b.spec.arrival)
+        .then(a.spec.id.cmp(&b.spec.id))
+}
+
 /// Cluster-side events.
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -127,7 +135,11 @@ struct EngineScratch {
     flow_lists: Vec<Vec<(FlowId, MachineId, MachineId)>>,
 }
 
-/// The simulator. Construct with [`Engine::new`], then call [`Engine::run`].
+/// The simulator. [`Engine::new`] builds an empty engine and admits the
+/// initial jobs through [`Engine::submit_jobs`], the one intake path; later
+/// batches enter a running engine the same way. Drive it with
+/// [`Engine::run`], or step it with [`Engine::run_until`] and finish with
+/// [`Engine::run`].
 pub struct Engine {
     st: ClusterState,
     policy: Box<dyn TaskScheduler>,
@@ -148,15 +160,16 @@ pub struct Engine {
     next_coflow: u64,
     /// Coflow ids per (job, stage, phase-kind) so related flows share one.
     coflows: BTreeMap<(JobId, StageId, u8), CoflowId>,
+    /// DFS placement draws, seeded from `params.seed`: one stream for every
+    /// job however it was submitted.
     rng: StdRng,
     metrics: BTreeMap<JobId, JobMetrics>,
     /// Machines worth re-offering to the policy.
     dirty_machines: DirtyMachines,
     job_index: BTreeMap<JobId, usize>,
     scheduler_label: String,
-    /// The policy kind the engine was built with; late submissions
-    /// ([`Engine::submit_jobs`]) derive constraints/priorities the same
-    /// way construction did.
+    /// The policy kind the engine was built with; [`Engine::submit_jobs`]
+    /// derives constraints and priorities from it.
     kind: SchedulerKind,
     /// Completions since the last [`Engine::drain_finished`] call, in
     /// simulation order — the feed half of the `corral-serve` seam.
@@ -175,14 +188,12 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds a run: validates inputs, ingests job input data into the DFS
-    /// (placement per `params.placement` and `plan`), derives constraints
-    /// and priorities, and schedules arrival / background / failure events.
+    /// Builds a run: an empty engine (fabric, DFS, policy, free slots, RNG
+    /// seeded from `params.seed`) that takes `jobs` through
+    /// [`Engine::submit_jobs`] — the one intake path, shared with live
+    /// submissions — and then schedules failure and background events.
     pub fn new(params: SimParams, jobs: Vec<JobSpec>, plan: &Plan, kind: SchedulerKind) -> Self {
         params.cluster.validate().expect("invalid cluster config");
-        for j in &jobs {
-            j.validate().expect("invalid job spec");
-        }
         let machines = params.cluster.total_machines();
         let allocator: Box<dyn corral_simnet::RateAllocator> = match params.net {
             NetPolicy::Tcp => Box::new(FairShare),
@@ -193,58 +204,27 @@ impl Engine {
         if let Some(bucket) = params.sample_core_utilization {
             fabric.enable_utilization_sampling(bucket);
         }
+        let policy = kind.build(params.locality_wait_slots);
+        let scheduler_label = match (kind, params.placement) {
+            (SchedulerKind::Planned, DataPlacement::PerPlan) => "corral".to_string(),
+            (SchedulerKind::Planned, DataPlacement::HdfsRandom) => "localshuffle".to_string(),
+            _ => policy.name().to_string(),
+        };
         let dfs = Dfs::new(params.cluster.clone());
         let dirty_machines = DirtyMachines::new(params.cluster.machines_per_rack);
-        let mut rng = StdRng::seed_from_u64(params.seed);
-
-        let mut rt_jobs: Vec<RtJob> = jobs
-            .iter()
-            .map(|s| RtJob::new(s.clone(), &params.cluster))
-            .collect();
-        let mut job_index = BTreeMap::new();
-        for (i, j) in rt_jobs.iter().enumerate() {
-            let prev = job_index.insert(j.spec.id, i);
-            assert!(prev.is_none(), "duplicate job id {}", j.spec.id);
-        }
-
-        // Constraints + priorities.
-        match kind {
-            SchedulerKind::Planned => {
-                for j in rt_jobs.iter_mut() {
-                    if let Some(entry) = plan.entry(j.spec.id) {
-                        j.constrain_to(entry.racks.clone());
-                        j.priority = entry.priority;
-                    }
-                }
-            }
-            SchedulerKind::Capacity | SchedulerKind::ShuffleWatcher => {
-                // FIFO priorities by (arrival, id).
-                let mut order: Vec<usize> = (0..rt_jobs.len()).collect();
-                order.sort_by(|&a, &b| {
-                    rt_jobs[a]
-                        .spec
-                        .arrival
-                        .total_cmp(rt_jobs[b].spec.arrival)
-                        .then(rt_jobs[a].spec.id.cmp(&rt_jobs[b].spec.id))
-                });
-                for (rank, &i) in order.iter().enumerate() {
-                    rt_jobs[i].priority = rank as u32;
-                }
-            }
-        }
-
+        let rng = StdRng::seed_from_u64(params.seed);
         let mut engine = Engine {
             st: ClusterState {
-                params,
                 now: SimTime::ZERO,
-                jobs: rt_jobs,
+                jobs: Vec::new(),
                 fifo_order: Vec::new(),
                 prio_order: Vec::new(),
-                free_slots: vec![0; machines],
+                free_slots: vec![params.cluster.slots_per_machine as u32; machines],
                 dead: vec![false; machines],
                 tracer: Arc::new(NullTracer),
+                params,
             },
-            policy: kind.build(0),
+            policy,
             fabric,
             dfs,
             queue: EventQueue::new(),
@@ -256,11 +236,11 @@ impl Engine {
             attempt_seq: BTreeMap::new(),
             next_coflow: 0,
             coflows: BTreeMap::new(),
-            rng: StdRng::seed_from_u64(0),
+            rng,
             metrics: BTreeMap::new(),
             dirty_machines,
-            job_index,
-            scheduler_label: String::new(),
+            job_index: BTreeMap::new(),
+            scheduler_label,
             kind,
             finished_log: Vec::new(),
             horizon_hit: false,
@@ -273,67 +253,8 @@ impl Engine {
         // Anchor the busy-slot gauge at t=0 so its time average covers the
         // whole run, including any idle prefix before the first launch.
         engine.registry.gauge_set("slots_busy", 0.0, 0.0);
-        engine.policy = kind.build(engine.st.params.locality_wait_slots);
-        engine.scheduler_label = match (kind, engine.st.params.placement) {
-            (SchedulerKind::Planned, DataPlacement::PerPlan) => "corral".to_string(),
-            (SchedulerKind::Planned, DataPlacement::HdfsRandom) => "localshuffle".to_string(),
-            _ => engine.policy.name().to_string(),
-        };
-        engine.st.free_slots = vec![engine.st.params.cluster.slots_per_machine as u32; machines];
-        engine.rng = rng.clone();
+        engine.submit_jobs(&jobs, plan);
 
-        // --- Ingest input data (offline, before execution; §3.1 step 2).
-        for ji in 0..engine.st.jobs.len() {
-            engine.ingest_job_inputs(ji, &mut rng);
-        }
-        engine.rng = rng;
-
-        // ShuffleWatcher rack assignment: needs input locality, hence after
-        // ingest.
-        if kind == SchedulerKind::ShuffleWatcher {
-            for ji in 0..engine.st.jobs.len() {
-                let racks = engine.shufflewatcher_racks(ji);
-                engine.st.jobs[ji].constrain_to(racks);
-            }
-        }
-
-        // Sort orders.
-        let jobs = &engine.st.jobs;
-        let mut fifo: Vec<usize> = (0..jobs.len()).collect();
-        fifo.sort_by(|&a, &b| {
-            jobs[a]
-                .spec
-                .arrival
-                .total_cmp(jobs[b].spec.arrival)
-                .then(jobs[a].spec.id.cmp(&jobs[b].spec.id))
-        });
-        let mut prio: Vec<usize> = (0..jobs.len()).collect();
-        prio.sort_by(|&a, &b| {
-            jobs[a]
-                .priority
-                .cmp(&jobs[b].priority)
-                .then(jobs[a].spec.arrival.total_cmp(jobs[b].spec.arrival))
-                .then(jobs[a].spec.id.cmp(&jobs[b].spec.id))
-        });
-        engine.st.fifo_order = fifo;
-        engine.st.prio_order = prio;
-
-        // --- Events: arrivals, uploads, failures, background changes.
-        for (i, j) in engine.st.jobs.iter().enumerate() {
-            engine.queue.schedule(j.spec.arrival, Event::JobArrival(i));
-        }
-        if let crate::config::IngestMode::Simulated { lead_time } = engine.st.params.ingest {
-            for i in 0..engine.st.jobs.len() {
-                if !engine.st.jobs[i].files.is_empty() {
-                    let at = (engine.st.jobs[i].spec.arrival - lead_time).max(SimTime::ZERO);
-                    engine.queue.schedule(at, Event::IngestStart(i));
-                    // Placeholder so an arrival firing before the upload
-                    // begins still gates on it; start_ingest replaces it
-                    // with the real outstanding-flow count.
-                    engine.st.jobs[i].ingest_remaining = 1;
-                }
-            }
-        }
         for f in engine.st.params.failures.clone() {
             engine.queue.schedule(f.at(), Event::Failure(f));
         }
@@ -345,229 +266,21 @@ impl Engine {
                     .schedule(t, Event::Background(RackId::from_index(r), bw));
             }
         }
-
-        // Metrics skeletons.
-        for j in &engine.st.jobs {
-            engine.metrics.insert(
-                j.spec.id,
-                JobMetrics {
-                    arrival: j.spec.arrival,
-                    slots_requested: j.spec.profile.slots_requested(),
-                    ..Default::default()
-                },
-            );
-        }
         engine
     }
 
     /// Runs the simulation to completion (all jobs done, or the horizon).
+    /// Stepped drivers call this too, after their last [`Engine::run_until`].
     pub fn run(mut self) -> RunReport {
-        self.step_until(SimTime::INFINITY);
+        self.run_until(SimTime::INFINITY);
         self.finalize()
     }
 
     /// Advances the simulation until `limit` (events strictly after `limit`
     /// stay queued). Returns `true` while work remains. Used together with
     /// [`Engine::apply_plan_update`] for the paper's §3.1 periodic
-    /// replanning loop, and with [`Engine::finish`] to collect the report.
+    /// replanning loop, and with [`Engine::run`] to collect the report.
     pub fn run_until(&mut self, limit: SimTime) -> bool {
-        self.step_until(limit)
-    }
-
-    /// Completes the simulation and produces the report (the `&mut`-style
-    /// counterpart of [`Engine::run`] for stepped drivers).
-    pub fn finish(mut self) -> RunReport {
-        self.step_until(SimTime::INFINITY);
-        self.finalize()
-    }
-
-    /// §3.1: "The offline planner will periodically receive updated
-    /// estimates of future workload, rerun the planning problem, and update
-    /// the guidelines to the cluster scheduler." Applies new guidelines to
-    /// every planned job that has not started yet (running jobs keep their
-    /// allocation — the model assumes no preemption, §4.1). Input data
-    /// placement is *not* redone: replicas were written at upload time.
-    pub fn apply_plan_update(&mut self, plan: &Plan) {
-        let mut jobs_updated = 0usize;
-        for ji in 0..self.st.jobs.len() {
-            let job = &mut self.st.jobs[ji];
-            if job.first_task_at.is_some() || job.is_finished() {
-                continue;
-            }
-            if let Some(entry) = plan.entry(job.spec.id) {
-                job.constrain_to(entry.racks.clone());
-                job.priority = entry.priority;
-                jobs_updated += 1;
-            }
-        }
-        if self.trace_on {
-            self.emit(TraceEvent::Replanned { jobs_updated });
-        }
-        // Priorities changed: rebuild the priority order.
-        let jobs = &self.st.jobs;
-        let mut prio: Vec<usize> = (0..jobs.len()).collect();
-        prio.sort_by(|&a, &b| {
-            jobs[a]
-                .priority
-                .cmp(&jobs[b].priority)
-                .then(jobs[a].spec.arrival.total_cmp(jobs[b].spec.arrival))
-                .then(jobs[a].spec.id.cmp(&jobs[b].spec.id))
-        });
-        self.st.prio_order = prio;
-        self.mark_all_machines_dirty();
-        self.dispatch();
-    }
-
-    /// Jobs that have not launched any task yet (candidates for
-    /// replanning), with their arrival times.
-    pub fn unstarted_jobs(&self) -> Vec<(JobId, SimTime)> {
-        self.st
-            .jobs
-            .iter()
-            .filter(|j| j.first_task_at.is_none() && !j.is_finished())
-            .map(|j| (j.spec.id, j.spec.arrival))
-            .collect()
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.st.now
-    }
-
-    /// Submits `specs` into a *running* simulation — the feed half of the
-    /// `corral-serve` seam. Each job goes through the same pipeline as at
-    /// construction: constraints/priorities from `plan` (for the planned
-    /// policy; fallback policies get FIFO ranks after the existing jobs),
-    /// DFS ingest under the engine's own RNG stream, order rebuilds, and
-    /// an arrival event clamped to `max(now, spec.arrival)` (the engine
-    /// clock never goes backwards — a spec whose arrival is already in
-    /// the past arrives "now").
-    ///
-    /// Determinism: submissions are part of the input sequence, so two
-    /// runs that submit the same specs at the same simulation times are
-    /// byte-identical. Panics on duplicate job ids, like `new`.
-    pub fn submit_jobs(&mut self, specs: &[JobSpec], plan: &Plan) {
-        if specs.is_empty() {
-            return;
-        }
-        let cluster = self.st.params.cluster.clone();
-        for s in specs {
-            s.validate().expect("invalid job spec");
-        }
-        let base = self.st.jobs.len();
-        let next_rank = self
-            .st
-            .jobs
-            .iter()
-            .map(|j| j.priority.saturating_add(1))
-            .max()
-            .unwrap_or(0);
-        for s in specs {
-            let mut j = RtJob::new(s.clone(), &cluster);
-            let i = self.st.jobs.len();
-            let prev = self.job_index.insert(j.spec.id, i);
-            assert!(prev.is_none(), "duplicate job id {}", j.spec.id);
-            match self.kind {
-                SchedulerKind::Planned => {
-                    if let Some(entry) = plan.entry(j.spec.id) {
-                        j.constrain_to(entry.racks.clone());
-                        j.priority = entry.priority;
-                    }
-                }
-                SchedulerKind::Capacity | SchedulerKind::ShuffleWatcher => {
-                    // FIFO after everything already admitted (specs are
-                    // assumed arrival-ordered within the batch).
-                    j.priority = next_rank + (i - base) as u32;
-                }
-            }
-            self.metrics.insert(
-                j.spec.id,
-                JobMetrics {
-                    arrival: j.spec.arrival.max(self.st.now),
-                    slots_requested: j.spec.profile.slots_requested(),
-                    ..Default::default()
-                },
-            );
-            self.st.jobs.push(j);
-        }
-
-        // Ingest under the engine RNG (same swap pattern as construction:
-        // placement draws come from one stream however jobs arrive).
-        let mut rng = std::mem::replace(&mut self.rng, StdRng::seed_from_u64(0));
-        for ji in base..self.st.jobs.len() {
-            self.ingest_job_inputs(ji, &mut rng);
-        }
-        self.rng = rng;
-        if self.kind == SchedulerKind::ShuffleWatcher {
-            for ji in base..self.st.jobs.len() {
-                let racks = self.shufflewatcher_racks(ji);
-                self.st.jobs[ji].constrain_to(racks);
-            }
-        }
-
-        // Rebuild both orders over the grown job set.
-        let jobs = &self.st.jobs;
-        let mut fifo: Vec<usize> = (0..jobs.len()).collect();
-        fifo.sort_by(|&a, &b| {
-            jobs[a]
-                .spec
-                .arrival
-                .total_cmp(jobs[b].spec.arrival)
-                .then(jobs[a].spec.id.cmp(&jobs[b].spec.id))
-        });
-        let mut prio: Vec<usize> = (0..jobs.len()).collect();
-        prio.sort_by(|&a, &b| {
-            jobs[a]
-                .priority
-                .cmp(&jobs[b].priority)
-                .then(jobs[a].spec.arrival.total_cmp(jobs[b].spec.arrival))
-                .then(jobs[a].spec.id.cmp(&jobs[b].spec.id))
-        });
-        self.st.fifo_order = fifo;
-        self.st.prio_order = prio;
-
-        // Arrival + (simulated) upload events, clamped to now.
-        let now = self.st.now;
-        for i in base..self.st.jobs.len() {
-            let arrival = self.st.jobs[i].spec.arrival.max(now);
-            self.queue.schedule(arrival, Event::JobArrival(i));
-            if let crate::config::IngestMode::Simulated { lead_time } = self.st.params.ingest {
-                if !self.st.jobs[i].files.is_empty() {
-                    let at = (self.st.jobs[i].spec.arrival - lead_time).max(now);
-                    self.queue.schedule(at, Event::IngestStart(i));
-                    self.st.jobs[i].ingest_remaining = 1;
-                }
-            }
-        }
-        self.mark_all_machines_dirty();
-    }
-
-    /// Moves every completion recorded since the last drain into `out`
-    /// (job id, finish time; simulation order) — the drain half of the
-    /// `corral-serve` seam. The buffer is engine-owned and reused, so a
-    /// steady-state serve loop allocates nothing here.
-    pub fn drain_finished(&mut self, out: &mut Vec<(JobId, SimTime)>) {
-        out.append(&mut self.finished_log);
-    }
-
-    /// Routes structured events for this run into `tracer`: task lifecycle
-    /// and job events from the engine, flow events from the fabric, and
-    /// scheduler decisions from the policy (via [`ClusterState::tracer`]).
-    /// Call before [`Engine::run`]; the default [`NullTracer`] keeps the
-    /// untraced path free.
-    pub fn set_tracer(&mut self, tracer: SharedTracer) {
-        self.trace_on = tracer.enabled();
-        self.fabric.set_tracer(tracer.clone());
-        self.st.tracer = tracer;
-    }
-
-    /// Records `ev` at the current simulation time. Callers gate on
-    /// `self.trace_on` so disabled runs skip event construction.
-    fn emit(&self, ev: TraceEvent) {
-        self.st.tracer.record(self.st.now.as_secs(), ev);
-    }
-
-    fn step_until(&mut self, limit: SimTime) -> bool {
         loop {
             let tq = self.queue.peek_time();
             let tf = self.fabric.next_completion();
@@ -608,13 +321,190 @@ impl Engine {
         }
     }
 
+    /// §3.1: "The offline planner will periodically receive updated
+    /// estimates of future workload, rerun the planning problem, and update
+    /// the guidelines to the cluster scheduler." Applies new guidelines to
+    /// every planned job that has not started yet (running jobs keep their
+    /// allocation — the model assumes no preemption, §4.1). Input data
+    /// placement is *not* redone: replicas were written at upload time.
+    pub fn apply_plan_update(&mut self, plan: &Plan) {
+        let mut jobs_updated = 0usize;
+        for ji in 0..self.st.jobs.len() {
+            let job = &mut self.st.jobs[ji];
+            if job.first_task_at.is_some() || job.is_finished() {
+                continue;
+            }
+            if let Some(entry) = plan.entry(job.spec.id) {
+                job.constrain_to(entry.racks.clone());
+                job.priority = entry.priority;
+                jobs_updated += 1;
+            }
+        }
+        if self.trace_on {
+            self.emit(TraceEvent::Replanned { jobs_updated });
+        }
+        // Priorities changed.
+        self.rebuild_orders();
+        self.mark_all_machines_dirty();
+        self.dispatch();
+    }
+
+    /// Jobs that have not launched any task yet (candidates for
+    /// replanning), with their arrival times.
+    pub fn unstarted_jobs(&self) -> Vec<(JobId, SimTime)> {
+        self.st
+            .jobs
+            .iter()
+            .filter(|j| j.first_task_at.is_none() && !j.is_finished())
+            .map(|j| (j.spec.id, j.spec.arrival))
+            .collect()
+    }
+
+    /// Current simulation time.
+    pub fn now(&self) -> SimTime {
+        self.st.now
+    }
+
+    /// Admits `specs` into the engine — the one intake path: [`Engine::new`]
+    /// feeds its initial jobs through here, and the `corral-serve` seam
+    /// feeds live submissions into a running simulation. Each batch gets
+    /// constraints and priorities from `plan` (for the planned policy;
+    /// fallback policies get FIFO ranks by `(arrival, id)` after the
+    /// existing jobs), metrics skeletons, DFS ingest under the engine's own
+    /// RNG stream, ShuffleWatcher racks, rebuilt job orders, and then all
+    /// of its arrival events followed by all of its upload starts, each
+    /// clamped to the current time (the engine clock never goes backwards —
+    /// a spec whose arrival is already in the past arrives "now").
+    ///
+    /// Determinism: submissions are part of the input sequence, so two
+    /// runs that submit the same specs at the same simulation times are
+    /// byte-identical. Panics on invalid specs and duplicate job ids.
+    pub fn submit_jobs(&mut self, specs: &[JobSpec], plan: &Plan) {
+        if specs.is_empty() {
+            return;
+        }
+        for s in specs {
+            s.validate().expect("invalid job spec");
+        }
+        let now = self.st.now;
+        let base = self.st.jobs.len();
+        for s in specs {
+            let j = RtJob::new(s.clone(), &self.st.params.cluster);
+            let prev = self.job_index.insert(j.spec.id, self.st.jobs.len());
+            assert!(prev.is_none(), "duplicate job id {}", j.spec.id);
+            self.metrics.insert(
+                j.spec.id,
+                JobMetrics {
+                    arrival: j.spec.arrival.max(now),
+                    slots_requested: j.spec.profile.slots_requested(),
+                    ..Default::default()
+                },
+            );
+            self.st.jobs.push(j);
+        }
+        match self.kind {
+            SchedulerKind::Planned => {
+                for j in &mut self.st.jobs[base..] {
+                    if let Some(entry) = plan.entry(j.spec.id) {
+                        j.constrain_to(entry.racks.clone());
+                        j.priority = entry.priority;
+                    }
+                }
+            }
+            SchedulerKind::Capacity | SchedulerKind::ShuffleWatcher => {
+                let jobs = &mut self.st.jobs;
+                let next_rank = jobs[..base]
+                    .iter()
+                    .map(|j| j.priority.saturating_add(1))
+                    .max()
+                    .unwrap_or(0);
+                let mut batch: Vec<usize> = (base..jobs.len()).collect();
+                batch.sort_by(|&a, &b| fifo_cmp(&jobs[a], &jobs[b]));
+                for (rank, &i) in batch.iter().enumerate() {
+                    jobs[i].priority = next_rank + rank as u32;
+                }
+            }
+        }
+
+        for ji in base..self.st.jobs.len() {
+            self.ingest_job_inputs(ji);
+        }
+        // ShuffleWatcher rack assignment needs input locality, hence after
+        // ingest.
+        if self.kind == SchedulerKind::ShuffleWatcher {
+            for ji in base..self.st.jobs.len() {
+                let racks = self.shufflewatcher_racks(ji);
+                self.st.jobs[ji].constrain_to(racks);
+            }
+        }
+        self.rebuild_orders();
+
+        // Equal-time events fire in insertion order, so this order — all of
+        // the batch's arrivals, then all of its uploads — is part of what
+        // makes runs reproducible.
+        for i in base..self.st.jobs.len() {
+            let arrival = self.st.jobs[i].spec.arrival.max(now);
+            self.queue.schedule(arrival, Event::JobArrival(i));
+        }
+        if let crate::config::IngestMode::Simulated { lead_time } = self.st.params.ingest {
+            for i in base..self.st.jobs.len() {
+                if !self.st.jobs[i].files.is_empty() {
+                    let at = (self.st.jobs[i].spec.arrival - lead_time).max(now);
+                    self.queue.schedule(at, Event::IngestStart(i));
+                    // Placeholder so an arrival firing before the upload
+                    // begins still gates on it; start_ingest replaces it
+                    // with the real outstanding-flow count.
+                    self.st.jobs[i].ingest_remaining = 1;
+                }
+            }
+        }
+        self.mark_all_machines_dirty();
+    }
+
+    /// Rebuilds the job orders the policies walk: FIFO by `(arrival, id)`
+    /// and priority by `(priority, arrival, id)`.
+    fn rebuild_orders(&mut self) {
+        let jobs = &self.st.jobs;
+        let mut fifo: Vec<usize> = (0..jobs.len()).collect();
+        fifo.sort_by(|&a, &b| fifo_cmp(&jobs[a], &jobs[b]));
+        let mut prio = fifo.clone();
+        prio.sort_by_key(|&i| jobs[i].priority);
+        self.st.fifo_order = fifo;
+        self.st.prio_order = prio;
+    }
+
+    /// Moves every completion recorded since the last drain into `out`
+    /// (job id, finish time; simulation order) — the drain half of the
+    /// `corral-serve` seam. The buffer is engine-owned and reused, so a
+    /// steady-state serve loop allocates nothing here.
+    pub fn drain_finished(&mut self, out: &mut Vec<(JobId, SimTime)>) {
+        out.append(&mut self.finished_log);
+    }
+
+    /// Routes structured events for this run into `tracer`: task lifecycle
+    /// and job events from the engine, flow events from the fabric, and
+    /// scheduler decisions from the policy (via [`ClusterState::tracer`]).
+    /// Call before [`Engine::run`]; the default [`NullTracer`] keeps the
+    /// untraced path free.
+    pub fn set_tracer(&mut self, tracer: SharedTracer) {
+        self.trace_on = tracer.enabled();
+        self.fabric.set_tracer(tracer.clone());
+        self.st.tracer = tracer;
+    }
+
+    /// Records `ev` at the current simulation time. Callers gate on
+    /// `self.trace_on` so disabled runs skip event construction.
+    fn emit(&self, ev: TraceEvent) {
+        self.st.tracer.record(self.st.now.as_secs(), ev);
+    }
+
     // ------------------------------------------------------------------
     // Setup helpers
     // ------------------------------------------------------------------
 
     /// Writes every source stage's DFS input for job `ji`, then fills the
     /// per-task preferred machine lists.
-    fn ingest_job_inputs(&mut self, ji: usize, rng: &mut StdRng) {
+    fn ingest_job_inputs(&mut self, ji: usize) {
         let use_plan = self.st.params.placement == DataPlacement::PerPlan;
         let (planned, racks) = {
             let j = &self.st.jobs[ji];
@@ -644,7 +534,7 @@ impl Engine {
             if !is_source || dfs_input.0 <= 0.0 {
                 continue;
             }
-            let file = self.dfs.write_file(name, dfs_input, policy, rng);
+            let file = self.dfs.write_file(name, dfs_input, policy, &mut self.rng);
             let chunks = self.dfs.chunks_of(file);
             let n_chunks = chunks.len();
             let mut preferred: Vec<Vec<MachineId>> = Vec::with_capacity(tasks);

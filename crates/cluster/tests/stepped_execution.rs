@@ -1,8 +1,8 @@
 //! Stepped execution and live plan updates (`run_until`,
 //! `apply_plan_update`, `unstarted_jobs`) — the API behind §3.1's periodic
-//! replanning.
+//! replanning — and live job submission (`submit_jobs`, `drain_finished`).
 
-use corral_cluster::config::{DataPlacement, SimParams};
+use corral_cluster::config::{DataPlacement, IngestMode, SimParams};
 use corral_cluster::engine::Engine;
 use corral_cluster::scheduler::SchedulerKind;
 use corral_core::plan::{Plan, PlanEntry};
@@ -64,7 +64,7 @@ fn run_until_stops_at_the_limit_and_resumes() {
     let unstarted = engine.unstarted_jobs();
     assert_eq!(unstarted, vec![(JobId(1), SimTime(120.0))]);
 
-    let report = engine.finish();
+    let report = engine.run();
     assert_eq!(report.unfinished, 0);
     assert!(report.jobs[&JobId(1)].started.unwrap() >= SimTime(120.0));
 }
@@ -82,7 +82,7 @@ fn plan_update_moves_an_unstarted_job() {
     fresh.entries.extend([entry(1, 2, 0)]);
     engine.apply_plan_update(&fresh);
 
-    let report = engine.finish();
+    let report = engine.run();
     assert_eq!(report.unfinished, 0);
     let cfg = ClusterConfig::tiny_test();
     // Every attempt of job 1 ran on rack 2.
@@ -103,7 +103,7 @@ fn plan_update_never_touches_started_jobs() {
     fresh.entries.extend([entry(0, 2, 0)]); // try to move it
     engine.apply_plan_update(&fresh);
 
-    let report = engine.finish();
+    let report = engine.run();
     let cfg = ClusterConfig::tiny_test();
     for t in &report.task_log {
         assert_eq!(
@@ -141,7 +141,7 @@ fn seam_run(seed: u64) -> (Vec<(JobId, SimTime)>, corral_cluster::metrics::RunRe
         t += 50.0;
     }
     engine.drain_finished(&mut done);
-    (done, engine.finish())
+    (done, engine.run())
 }
 
 #[test]
@@ -193,7 +193,80 @@ fn drain_is_incremental_and_non_lossy() {
         }
         t += 25.0;
     }
-    let report = engine.finish();
+    let report = engine.run();
     assert_eq!(report.unfinished, 0);
     assert_eq!(seen.len(), 2, "each completion delivered exactly once");
+}
+
+/// Plan racks of the batch test's jobs: job 0 at construction, jobs 1–3
+/// submitted live.
+const BATCH_RACKS: [(u32, u32); 4] = [(0, 0), (1, 1), (2, 2), (3, 1)];
+
+/// Builds an engine with job 0, runs it to t=5 (job 0 still running), then
+/// submits jobs 1–3 in one batch with arrivals out of order and simulated
+/// upload, so upload starts (t=5 for jobs 1–2, t=25 for job 3) interleave
+/// with the arrivals (t=20, t=40).
+/// Returns (drained completions, report).
+fn batch_run(kind: SchedulerKind) -> (Vec<(JobId, SimTime)>, corral_cluster::metrics::RunReport) {
+    let p = SimParams {
+        ingest: IngestMode::Simulated {
+            lead_time: SimTime(15.0),
+        },
+        ..params()
+    };
+    let mut plan = Plan::default();
+    plan.entries.extend([entry(0, 0, 0)]);
+    let mut engine = Engine::new(p, vec![job(0, 0.0)], &plan, kind);
+    assert!(engine.run_until(SimTime(5.0)));
+
+    let mut live = Plan::default();
+    live.entries
+        .extend(BATCH_RACKS.iter().map(|&(id, rack)| entry(id, rack, id)));
+    engine.submit_jobs(&[job(3, 40.0), job(1, 20.0), job(2, 20.0)], &live);
+
+    let mut done = Vec::new();
+    let mut t = 5.0;
+    while engine.run_until(SimTime(t)) {
+        engine.drain_finished(&mut done);
+        t += 25.0;
+    }
+    engine.drain_finished(&mut done);
+    (done, engine.run())
+}
+
+#[test]
+fn submit_jobs_admits_an_unsorted_batch_with_uploads() {
+    for kind in [SchedulerKind::Capacity, SchedulerKind::Planned] {
+        let (done_a, report_a) = batch_run(kind);
+        let (done_b, report_b) = batch_run(kind);
+
+        assert_eq!(report_a.unfinished, 0, "{kind:?}");
+        let mut ids: Vec<JobId> = done_a.iter().map(|c| c.0).collect();
+        ids.sort();
+        assert_eq!(ids, [0, 1, 2, 3].map(JobId), "{kind:?}");
+        for (id, at) in &done_a {
+            assert_eq!(report_a.jobs[id].finished.unwrap(), *at, "{kind:?}");
+        }
+        // Same inputs, same submission times → identical runs.
+        assert_eq!(done_a, done_b, "{kind:?}");
+        assert_eq!(
+            format!("{:?}", report_a.task_log),
+            format!("{:?}", report_b.task_log),
+            "{kind:?}"
+        );
+        if kind == SchedulerKind::Planned {
+            let cfg = ClusterConfig::tiny_test();
+            for (id, rack) in BATCH_RACKS {
+                let tasks: Vec<_> = report_a
+                    .task_log
+                    .iter()
+                    .filter(|t| t.job == JobId(id))
+                    .collect();
+                assert!(!tasks.is_empty(), "job {id} ran no task");
+                for t in tasks {
+                    assert_eq!(cfg.rack_of(t.machine), RackId(rack), "job {id}");
+                }
+            }
+        }
+    }
 }

@@ -18,7 +18,7 @@ pub use crate::varys::VarysSebf;
 /// The active flow set in flat CSR form: flow `f` traverses
 /// `flow_links[flow_off[f] .. flow_off[f+1]]`. Built by the fabric into
 /// persistent buffers, so handing it to an allocator performs no
-/// allocation. Flows appear in ascending [`FlowId`](crate::flow::FlowId)
+/// allocation. Flows appear in ascending [`FlowId`](corral_model::FlowId)
 /// order.
 #[derive(Debug, Clone, Copy)]
 pub struct FlowTable<'a> {

@@ -1287,9 +1287,7 @@ impl Fabric {
                     let s = id.index();
                     scratch.flow_links.extend_from_slice(f.path.as_slice());
                     scratch.flow_off.push(scratch.flow_links.len() as u32);
-                    scratch
-                        .remaining
-                        .push(f.spec.bytes.clamp_non_negative().0);
+                    scratch.remaining.push(f.spec.bytes.clamp_non_negative().0);
                     scratch
                         .coflow
                         .push(Some(CoflowId(stable_coflow_key(f.spec.coflow, s))));
@@ -1364,7 +1362,10 @@ impl Fabric {
                 probe::count(probe::ProbeCounter::RecomputeFullBoundary, 1);
                 (rounds, nrows as u64)
             }
-            DirtyOutcome::Incremental { dirty_flows, rounds } => {
+            DirtyOutcome::Incremental {
+                dirty_flows,
+                rounds,
+            } => {
                 self.stats.recomputes_incremental += 1;
                 probe::count(probe::ProbeCounter::RecomputeIncremental, 1);
                 (rounds, dirty_flows)
@@ -1985,7 +1986,11 @@ mod tests {
         let before = f.stats().recomputes_full_boundary;
         f.set_rack_background(RackId(0), Bandwidth::gbps(4.0));
         f.drain();
-        assert!(f.stats().recomputes_full_boundary > before, "{:?}", f.stats());
+        assert!(
+            f.stats().recomputes_full_boundary > before,
+            "{:?}",
+            f.stats()
+        );
     }
 
     #[test]

@@ -68,10 +68,10 @@ pub mod topology;
 pub mod varys;
 
 pub use allocator::{
-    AllocScratch, DirtyCtx, DirtyOutcome, FairShare, FlowTable, RateAllocator,
-    ReferenceFairShare, VarysSebf,
+    AllocScratch, DirtyCtx, DirtyOutcome, FairShare, FlowTable, RateAllocator, ReferenceFairShare,
+    VarysSebf,
 };
-pub use engine::{CalendarQueue, CompletionHeap, EventQueue, HeapEventQueue};
+pub use engine::{CompletionHeap, EventQueue};
 pub use fabric::{CompletedFlow, Fabric};
 pub use flow::{CoflowId, FlowKind, FlowSpec, FlowTag};
 pub use link::{LinkClass, LinkId};

@@ -190,7 +190,10 @@ impl RateAllocator for VarysSebf {
             DirtyOutcome::Full { rounds }
         } else {
             let (dirty_flows, rounds) = solve_incremental(links, table, rates, scratch, ctx);
-            DirtyOutcome::Incremental { dirty_flows, rounds }
+            DirtyOutcome::Incremental {
+                dirty_flows,
+                rounds,
+            }
         }
     }
 

@@ -1,5 +1,5 @@
-//! Property tests for the incremental fabric path and the calendar-queue
-//! event scheduler.
+//! Property tests for the incremental fabric path and its completion
+//! heap.
 //!
 //! The incremental max-min path (memoryless allocators) and the
 //! coflow-incremental Varys/SEBF path must each be *bit-identical* to a
@@ -13,17 +13,14 @@
 //! (oracle-on and oracle-off runs produce byte-identical completion
 //! streams and `FabricStats`).
 //!
-//! The calendar queue must preserve the `BinaryHeap` scheduler's exact
-//! `(time, insertion order)` pop order, including equal-time ties and
-//! `+inf` deadlines; `HeapEventQueue` is kept verbatim as that oracle.
 //! The fabric's indexed completion heap must pop its live entries in the
-//! order `HeapEventQueue` gives them when every set is a push and every
+//! order an `EventQueue` gives them when every set is a push and every
 //! superseded or removed entry is skipped on pop.
 
 use corral_model::{Bandwidth, Bytes, ClusterConfig, MachineId, RackId, SimTime};
 use corral_simnet::{
     CoflowId, CompletionHeap, EventQueue, Fabric, FairShare, FlowKind, FlowSpec, FlowTag,
-    HeapEventQueue, RateAllocator, ReferenceFairShare, VarysSebf,
+    RateAllocator, ReferenceFairShare, VarysSebf,
 };
 use proptest::prelude::*;
 
@@ -190,55 +187,6 @@ proptest! {
     }
 }
 
-/// One step of a queue script: `Push(time_bucket, inf)` or `Pop`.
-fn queue_steps(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(bool, u8, bool)>> {
-    // `0u8..10` + equality below gives a ~10% chance of an `+inf` push.
-    proptest::collection::vec((any::<bool>(), 0u8..6, (0u8..10).prop_map(|v| v == 0)), n)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The calendar queue pops in exactly the heap's order: equal-time
-    /// events in insertion order, `+inf` deadlines last (also in
-    /// insertion order), under arbitrary push/pop interleavings.
-    #[test]
-    fn calendar_queue_matches_heap_order(script in queue_steps(1..64)) {
-        let mut cal = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let mut next = 0u32;
-        for (push, bucket, inf) in script {
-            if push {
-                // Coarse buckets force heavy equal-time collisions; the
-                // offset keeps schedules legal (never before `now`).
-                let at = if inf {
-                    SimTime(f64::INFINITY)
-                } else {
-                    SimTime(cal.now().0 + bucket as f64 * 0.25)
-                };
-                cal.schedule(at, next);
-                heap.schedule(at, next);
-                next += 1;
-            } else {
-                prop_assert_eq!(cal.peek_time(), heap.peek_time());
-                let a = cal.pop();
-                let b = heap.pop();
-                prop_assert_eq!(a, b);
-                prop_assert_eq!(cal.now(), heap.now());
-            }
-            prop_assert_eq!(cal.len(), heap.len());
-        }
-        loop {
-            let a = cal.pop();
-            let b = heap.pop();
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-}
-
 /// One step of a completion-heap script: `(op, slot, time_bucket)`.
 /// `op` 0–1 sets the slot (insert or re-key), 2 removes it, 3 pops.
 fn heap_steps(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u8, u32, u8)>> {
@@ -246,10 +194,10 @@ fn heap_steps(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u8, u32, 
 }
 
 /// The lazily-invalidated model of a completion heap: every set pushes a
-/// generation-stamped entry into a `HeapEventQueue`, and pops skip
+/// generation-stamped entry into an `EventQueue`, and pops skip
 /// entries whose slot was removed or re-keyed since.
 struct LazyModel {
-    queue: HeapEventQueue<(u32, u32)>,
+    queue: EventQueue<(u32, u32)>,
     gen: Vec<u32>,
     key: Vec<Option<f64>>,
 }
@@ -257,7 +205,7 @@ struct LazyModel {
 impl LazyModel {
     fn new(slots: usize) -> Self {
         LazyModel {
-            queue: HeapEventQueue::new(),
+            queue: EventQueue::new(),
             gen: vec![0; slots],
             key: vec![None; slots],
         }
