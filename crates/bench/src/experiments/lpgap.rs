@@ -10,10 +10,22 @@ use crate::experiments::bench_scale;
 use crate::table;
 use corral_core::latency::{LatencyModel, ResponseOptions};
 use corral_core::lp::{batch_lower_bound, online_lower_bound};
-use corral_core::provision::{provision, provision_with_mode, ProvisionMode};
+use corral_core::provision::{provision, ProvisionMode, ProvisionOutcome};
 use corral_core::Objective;
 use corral_model::{ClusterConfig, SimTime};
 use corral_workloads::{assign_uniform_arrivals, w1, w3};
+
+/// Provisions `jobs` with no pins under `mode`.
+fn provision_free(
+    models: &[LatencyModel],
+    jobs: &[(corral_model::JobId, SimTime)],
+    cfg: &ClusterConfig,
+    objective: Objective,
+    mode: ProvisionMode,
+) -> ProvisionOutcome {
+    let pins = vec![None; jobs.len()];
+    provision(models, jobs, &pins, cfg.racks, objective, mode)
+}
 
 fn latency_tables(
     jobs: &[corral_model::JobSpec],
@@ -35,7 +47,14 @@ fn latency_tables(
 pub fn batch_gap(jobs: &[corral_model::JobSpec], cfg: &ClusterConfig) -> (f64, f64, f64) {
     let (models, tables) = latency_tables(jobs, cfg);
     let meta: Vec<_> = jobs.iter().map(|j| (j.id, SimTime::ZERO)).collect();
-    let heur = provision(&models, &meta, cfg.racks, Objective::Makespan).objective_value;
+    let heur = provision_free(
+        &models,
+        &meta,
+        cfg,
+        Objective::Makespan,
+        ProvisionMode::Exhaustive,
+    )
+    .objective_value;
     let lp = batch_lower_bound(&tables, cfg.racks).expect("LP solve");
     (heur, lp, (heur - lp) / lp * 100.0)
 }
@@ -50,23 +69,9 @@ pub fn heuristic_variants(
 ) -> (f64, f64) {
     let (models, _) = latency_tables(jobs, cfg);
     let meta: Vec<_> = jobs.iter().map(|j| (j.id, j.arrival)).collect();
-    let full = provision_with_mode(
-        &models,
-        &meta,
-        cfg.racks,
-        objective,
-        ProvisionMode::Exhaustive,
-    )
-    .objective_value;
-    let early = provision_with_mode(
-        &models,
-        &meta,
-        cfg.racks,
-        objective,
-        ProvisionMode::EarlyStop,
-    )
-    .objective_value;
-    (full, early)
+    let full = provision_free(&models, &meta, cfg, objective, ProvisionMode::Exhaustive);
+    let early = provision_free(&models, &meta, cfg, objective, ProvisionMode::EarlyStop);
+    (full.objective_value, early.objective_value)
 }
 
 /// Online gap: (heuristic avg completion, LP bound, gap %).
@@ -77,7 +82,13 @@ pub fn online_gap(
 ) -> (f64, f64, f64) {
     let (models, tables) = latency_tables(jobs, cfg);
     let meta: Vec<_> = jobs.iter().map(|j| (j.id, j.arrival)).collect();
-    let out = provision(&models, &meta, cfg.racks, Objective::AvgCompletionTime);
+    let out = provision_free(
+        &models,
+        &meta,
+        cfg,
+        Objective::AvgCompletionTime,
+        ProvisionMode::Exhaustive,
+    );
     let heur = out.objective_value;
     let horizon = out
         .schedule

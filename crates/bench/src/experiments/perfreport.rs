@@ -225,8 +225,7 @@ pub fn main() {
     let (fab_recomputes, fab_golden) = fabricbench::probe_cell_small();
     let (fab_varys_recomputes, fab_varys_golden) = fabricbench::probe_cell_varys();
     let planner_cell = plannerbench::probe_cell_large();
-    let pool = crate::config::pool().progress(false);
-    let (planner_cands, _) = planner_cell.run(&pool);
+    let (planner_cands, _) = planner_cell.run();
     run_engine_cell();
     let serve_cell = servebench::probe_cell_small();
     let serve_decisions = serve_cell.run();
@@ -234,18 +233,18 @@ pub fn main() {
     // -- Probe overhead on the planner large cell -------------------------
     // Warm once, then min-of-N with probes on vs off. The off passes
     // leave no trace in the report (spans are inert when disabled).
-    let _ = planner_cell.run(&pool);
+    let _ = planner_cell.run();
     let mut on_s = f64::INFINITY;
     for _ in 0..OVERHEAD_REPEATS {
         let t0 = Instant::now();
-        let _ = planner_cell.run(&pool);
+        let _ = planner_cell.run();
         on_s = on_s.min(t0.elapsed().as_secs_f64());
     }
     probe::set_enabled(false);
     let mut off_s = f64::INFINITY;
     for _ in 0..OVERHEAD_REPEATS {
         let t0 = Instant::now();
-        let _ = planner_cell.run(&pool);
+        let _ = planner_cell.run();
         off_s = off_s.min(t0.elapsed().as_secs_f64());
     }
     probe::set_enabled(true);

@@ -1,8 +1,8 @@
 //! Planner hot-path microbenchmark: times the provisioning loop —
-//! `J·(R−1)` candidate allocations, each scored by a full prioritization
-//! pass — comparing the fast path (heap-enumerated trajectory, persistent
-//! scratch, pooled candidate scoring; [`corral_core::provision_pinned_pooled`])
-//! against the frozen pre-optimization oracle
+//! `1 + J·(R−1)` candidate allocations, each scored by a full
+//! prioritization pass — comparing the fast path (heap-enumerated
+//! trajectory, persistent scratch, serial scoring;
+//! [`corral_core::provision()`]) against the frozen oracle
 //! ([`corral_core::provision_reference`]), plus one replan-shaped real
 //! cell (W1 online, pins anchored to an initial forecast plan, the
 //! average-completion objective — the exact shape `repro replan` reruns
@@ -26,15 +26,11 @@ use crate::runner::RunConfig;
 use crate::table;
 use corral_core::latency::{LatencyModel, ResponseOptions};
 use corral_core::planner::perturb_arrivals;
-use corral_core::provision::{
-    provision_pinned_pooled, provision_reference, ProvisionMode, ProvisionOutcome, PLANNER_COUNTERS,
-};
+use corral_core::provision::{provision, provision_reference, ProvisionMode, ProvisionOutcome};
 use corral_core::{plan_jobs, Objective};
 use corral_model::{
     Bandwidth, Bytes, ClusterConfig, JobId, JobProfile, MapReduceProfile, RackId, SimTime,
 };
-use corral_sweep::SweepPool;
-use corral_trace::CounterSet;
 use std::time::Instant;
 
 /// One synthetic planning scale.
@@ -47,8 +43,8 @@ struct ScaleSpec {
 
 /// Small / medium / large synthetic job sets. The large scale (256 jobs
 /// on a 24-rack cluster, 5889 candidate allocations) is the acceptance
-/// cell: the fast path must beat the reference by ≥ 2× there at
-/// `--jobs 8`.
+/// cell: the fast path, scoring serially, must beat the reference by
+/// ≥ 2× there.
 const SCALES: [ScaleSpec; 3] = [
     ScaleSpec {
         name: "small",
@@ -208,10 +204,9 @@ fn time_reference(p: &PlanProblem) -> CellResult {
     }
 }
 
-fn time_fast(p: &PlanProblem, pool: &SweepPool) -> CellResult {
+fn time_fast(p: &PlanProblem) -> CellResult {
     let t0 = Instant::now();
-    let outcome = provision_pinned_pooled(
-        pool,
+    let outcome = provision(
         &p.models,
         &p.jobs,
         &p.pins,
@@ -239,8 +234,8 @@ pub(crate) fn probe_cell_large() -> ProbeCell {
 
 impl ProbeCell {
     /// Runs the fast path once; returns `(candidates, wall_s)`.
-    pub(crate) fn run(&self, pool: &SweepPool) -> (u64, f64) {
-        let c = time_fast(&self.0, pool);
+    pub(crate) fn run(&self) -> (u64, f64) {
+        let c = time_fast(&self.0);
         (c.outcome.stats.candidates, c.wall_s)
     }
 
@@ -254,13 +249,13 @@ impl ProbeCell {
 /// Runs one problem [`REPEATS`] times as back-to-back (reference, fast)
 /// pairs, asserting the runtime form of the bit-identity claim on every
 /// pair. Returns (reference best, fast best, median paired speedup).
-fn run_pair(name: &str, p: &PlanProblem, pool: &SweepPool) -> (CellResult, CellResult, f64) {
+fn run_pair(name: &str, p: &PlanProblem) -> (CellResult, CellResult, f64) {
     let mut best_ref: Option<CellResult> = None;
     let mut best_fast: Option<CellResult> = None;
     let mut ratios = Vec::with_capacity(REPEATS);
     for _ in 0..REPEATS {
         let r = time_reference(p);
-        let f = time_fast(p, pool);
+        let f = time_fast(p);
         assert_eq!(
             r.outcome.objective_value.to_bits(),
             f.outcome.objective_value.to_bits(),
@@ -298,8 +293,6 @@ fn run_pair(name: &str, p: &PlanProblem, pool: &SweepPool) -> (CellResult, CellR
 pub fn main() {
     table::section("plannerbench: provisioning loop, reference vs fast path");
     let bless = std::env::var_os("CORRAL_PLANNERBENCH_BLESS").is_some();
-    let pool = crate::config::pool().progress(false);
-    let counters = CounterSet::new(&PLANNER_COUNTERS);
 
     table::row(&[
         "cell", "path", "jobs", "racks", "cands", "grows", "wall", "cands/s", "speedup",
@@ -313,11 +306,8 @@ pub fn main() {
     cells.push(("replan-w1", replan_problem()));
 
     for (name, p) in &cells {
-        let (reference, fast, speedup) = run_pair(name, p, &pool);
+        let (reference, fast, speedup) = run_pair(name, p);
         let stats = fast.outcome.stats;
-        counters.add("planner.candidates", stats.candidates);
-        counters.add("planner.heap_pops", stats.heap_pops);
-        counters.add("planner.scratch_grows", stats.scratch_grows);
         for (label, c) in [("reference", &reference), ("fast", &fast)] {
             table::row(&[
                 name.to_string(),
@@ -364,12 +354,8 @@ pub fn main() {
             stats.scratch_grows,
         ));
         if *name == "large" && speedup < 2.0 {
-            println!("   warning: large-scale speedup {speedup:.2}x below the 2x target");
+            println!("   warning: large-scale serial speedup {speedup:.2}x below the 2x target");
         }
-    }
-
-    for (name, v) in counters.snapshot() {
-        println!("   {name} = {v}");
     }
 
     if !drift.is_empty() {
@@ -384,8 +370,7 @@ pub fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"planner_fast_path\",\n  \"pool_jobs\": {},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        pool.jobs(),
+        "{{\n  \"bench\": \"planner_fast_path\",\n  \"cells\": [\n{}\n  ]\n}}\n",
         cell_json.join(",\n")
     );
     std::fs::write("BENCH_planner.json", &json).expect("write BENCH_planner.json");

@@ -1,16 +1,15 @@
-//! Golden determinism contract of the planner fast path (ISSUE 5), the
-//! planner twin of `fabric_golden.rs`:
+//! Golden determinism contract of the planner, the planner twin of
+//! `fabric_golden.rs`:
 //!
 //! 1. The offline planner on a fixed workload reproduces *embedded*
 //!    bit-level fingerprints for both objectives — catching any change to
 //!    the provisioning trajectory, the prioritization arithmetic, or the
 //!    objective fold, not just gross regressions.
-//! 2. The pooled planner at `--jobs 1` vs `--jobs 8` produces
-//!    byte-identical plan CSVs on the two planning shapes the experiments
-//!    rerun hottest: the replan-shaped pinned problem (§3.1) and the
+//! 2. The plan matches the frozen reference provisioner bit for bit
+//!    (objective bits, every job's racks and start/finish bits) on the
+//!    golden workload and on the two planning shapes the experiments rerun
+//!    hottest: the replan-shaped pinned problem (§3.1) and the
 //!    fig13b-shaped forecast problem (plan on perturbed arrivals).
-//! 3. The serial planner and the pooled planner agree with each other and
-//!    with the frozen reference oracle.
 //!
 //! The fingerprints are asserted with the actual values in the panic
 //! message; after an *intentional* planner change, rerun and paste the
@@ -19,11 +18,9 @@
 use corral_core::planner::perturb_arrivals;
 use corral_core::provision::{provision_reference, ProvisionMode};
 use corral_core::{
-    plan_jobs, plan_jobs_pinned, plan_jobs_pinned_pooled, LatencyModel, Objective, Plan,
-    PlannerConfig, ResponseOptions,
+    plan_jobs, plan_jobs_pinned, LatencyModel, Objective, Plan, PlannerConfig, ResponseOptions,
 };
 use corral_model::{ClusterConfig, JobId, JobSpec, RackId, SimTime};
-use corral_sweep::SweepPool;
 use corral_workloads::{assign_uniform_arrivals, w1, Scale};
 use std::collections::BTreeMap;
 
@@ -115,8 +112,64 @@ fn replan_pins(cfg: &ClusterConfig, jobs: &[JobSpec]) -> BTreeMap<JobId, Vec<Rac
         .collect()
 }
 
+/// Plans `jobs` under `pins` and asserts the plan is bit-identical to
+/// what the frozen reference provisioner computes on the same inputs:
+/// objective bits, every job's rack set, planned start/finish bits, and
+/// the candidate count.
+fn assert_plan_matches_reference(
+    label: &str,
+    cfg: &ClusterConfig,
+    jobs: &[JobSpec],
+    objective: Objective,
+    pins: &BTreeMap<JobId, Vec<RackId>>,
+) {
+    let plan = plan_jobs_pinned(cfg, jobs, objective, &PlannerConfig::default(), pins);
+    let plannable: Vec<&JobSpec> = jobs.iter().filter(|j| j.plannable).collect();
+    let models: Vec<LatencyModel> = plannable
+        .iter()
+        .map(|j| LatencyModel::build(&j.profile, cfg, &ResponseOptions::default()))
+        .collect();
+    let meta: Vec<(JobId, SimTime)> = plannable.iter().map(|j| (j.id, j.arrival)).collect();
+    let pin_vec: Vec<Option<Vec<RackId>>> =
+        plannable.iter().map(|j| pins.get(&j.id).cloned()).collect();
+    let oracle = provision_reference(
+        &models,
+        &meta,
+        &pin_vec,
+        cfg.racks,
+        objective,
+        ProvisionMode::Exhaustive,
+    );
+    assert_eq!(
+        plan.objective_value.to_bits(),
+        oracle.objective_value.to_bits(),
+        "{label}: plan and oracle objective bits diverge"
+    );
+    assert_eq!(plan.len(), oracle.schedule.len(), "{label}: job count");
+    for s in &oracle.schedule {
+        let e = plan.entry(s.job).expect("oracle job missing from plan");
+        assert_eq!(e.racks, s.racks, "{label}: racks of {:?}", s.job);
+        assert_eq!(
+            e.planned_start.0.to_bits(),
+            s.start.0.to_bits(),
+            "{label}: start bits of {:?}",
+            s.job
+        );
+        assert_eq!(
+            e.planned_finish.0.to_bits(),
+            s.finish.0.to_bits(),
+            "{label}: finish bits of {:?}",
+            s.job
+        );
+    }
+    assert_eq!(
+        plan.provision_stats.candidates, oracle.stats.candidates,
+        "{label}: candidate counts diverge"
+    );
+}
+
 #[test]
-fn replan_shaped_plan_is_identical_across_pool_sizes() {
+fn replan_shaped_plan_matches_reference_oracle() {
     let cfg = cluster();
     let jobs = golden_jobsets();
     let pins = replan_pins(&cfg, &jobs);
@@ -124,83 +177,28 @@ fn replan_shaped_plan_is_identical_across_pool_sizes() {
         !pins.is_empty() && pins.len() < jobs.len(),
         "shape check: the replan problem must mix pinned and free jobs"
     );
-    let pc = PlannerConfig::default();
-    let serial = plan_jobs_pinned(&cfg, &jobs, Objective::AvgCompletionTime, &pc, &pins);
-    for pool_jobs in [1, 8] {
-        let pool = SweepPool::new(pool_jobs).progress(false);
-        let pooled =
-            plan_jobs_pinned_pooled(&pool, &cfg, &jobs, Objective::AvgCompletionTime, &pc, &pins);
-        assert_eq!(serial, pooled, "--jobs {pool_jobs}: plans diverge");
-        assert_eq!(
-            serial.to_csv(),
-            pooled.to_csv(),
-            "--jobs {pool_jobs}: plan CSV bytes diverge"
-        );
-        assert_eq!(
-            serial.provision_stats.candidates, pooled.provision_stats.candidates,
-            "--jobs {pool_jobs}: candidate counts diverge"
-        );
-    }
+    assert_plan_matches_reference("replan", &cfg, &jobs, Objective::AvgCompletionTime, &pins);
 }
 
 #[test]
-fn fig13b_shaped_plan_is_identical_across_pool_sizes() {
+fn fig13b_shaped_plan_matches_reference_oracle() {
     // Fig 13b plans on *perturbed* arrivals (the planner's forecast is
     // wrong) and both objectives appear across the sweep; cover each.
     let cfg = cluster();
     let jobs = golden_jobsets();
     let forecast = perturb_arrivals(&jobs, 0.5, SimTime::minutes(2.0), 0xF13B);
-    let pc = PlannerConfig::default();
-    let no_pins = BTreeMap::new();
     for objective in [Objective::Makespan, Objective::AvgCompletionTime] {
-        let serial = plan_jobs(&cfg, &forecast, objective, &pc);
-        for pool_jobs in [1, 8] {
-            let pool = SweepPool::new(pool_jobs).progress(false);
-            let pooled = plan_jobs_pinned_pooled(&pool, &cfg, &forecast, objective, &pc, &no_pins);
-            assert_eq!(
-                serial, pooled,
-                "{objective:?} --jobs {pool_jobs}: plans diverge"
-            );
-            assert_eq!(
-                serial.to_csv(),
-                pooled.to_csv(),
-                "{objective:?} --jobs {pool_jobs}: plan CSV bytes diverge"
-            );
-        }
+        let label = format!("fig13b {objective:?}");
+        assert_plan_matches_reference(&label, &cfg, &forecast, objective, &BTreeMap::new());
     }
 }
 
 #[test]
 fn planner_agrees_with_frozen_reference_oracle_on_golden_workload() {
-    // End-to-end: the plan the fast path builds scores exactly what the
-    // frozen reference provisioner computes on the same inputs.
     let cfg = cluster();
     let jobs = golden_jobsets();
-    let pc = PlannerConfig::default();
     for objective in [Objective::Makespan, Objective::AvgCompletionTime] {
-        let plan = plan_jobs(&cfg, &jobs, objective, &pc);
-        let models: Vec<LatencyModel> = jobs
-            .iter()
-            .map(|j| LatencyModel::build(&j.profile, &cfg, &ResponseOptions::default()))
-            .collect();
-        let meta: Vec<(JobId, SimTime)> = jobs.iter().map(|j| (j.id, j.arrival)).collect();
-        let pins = vec![None; jobs.len()];
-        let oracle = provision_reference(
-            &models,
-            &meta,
-            &pins,
-            cfg.racks,
-            objective,
-            ProvisionMode::Exhaustive,
-        );
-        assert_eq!(
-            plan.objective_value.to_bits(),
-            oracle.objective_value.to_bits(),
-            "{objective:?}: plan and oracle objective bits diverge"
-        );
-        assert_eq!(
-            plan.provision_stats.candidates, oracle.stats.candidates,
-            "{objective:?}: candidate counts diverge"
-        );
+        let label = format!("golden {objective:?}");
+        assert_plan_matches_reference(&label, &cfg, &jobs, objective, &BTreeMap::new());
     }
 }

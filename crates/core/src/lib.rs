@@ -19,8 +19,9 @@
 //!    critical path ([`latency::dag_latency`]).
 //! 2. [`provision`](mod@provision) — the *provisioning phase* (§4.2): starting from one
 //!    rack per job, repeatedly widen the currently-longest job, generating
-//!    `J·R` candidate allocations.
-//! 3. [`prioritize`] — the *prioritization phase* (Fig. 4): an extension of
+//!    `1 + J·(R−1)` candidate allocations (the initial one plus one per
+//!    widening).
+//! 3. [`prioritize`](mod@prioritize) — the *prioritization phase* (Fig. 4): an extension of
 //!    LPT/LIST scheduling that places widest-jobs-first onto the racks that
 //!    free up earliest, producing rack sets `Rj` and start times `Tj`.
 //! 4. [`planner`] — ties 2 and 3 together: evaluates every candidate
@@ -53,12 +54,7 @@ pub use incremental::{profile_fingerprint, IncrementalPlanner, ReplanKind, Repla
 pub use latency::{dag_latency, mr_latency, LatencyModel, ResponseOptions};
 pub use objective::Objective;
 pub use plan::{Plan, PlanEntry};
-pub use planner::{
-    plan_jobs, plan_jobs_pinned, plan_jobs_pinned_pooled, plan_jobs_with_tracer, PlannerConfig,
-};
+pub use planner::{plan_jobs, plan_jobs_pinned, PlannerConfig};
 pub use predict::{HistoryPoint, Predictor};
-pub use prioritize::{prioritize_jobs, schedule_value, PlannerScratch, PrioritizeJob};
-pub use provision::{
-    provision, provision_pinned, provision_pinned_pooled, provision_reference, provision_with_mode,
-    validate_pins, ProvisionMode, ProvisionStats, PLANNER_COUNTERS,
-};
+pub use prioritize::{prioritize, PrioritizeJob};
+pub use provision::{provision, provision_reference, ProvisionMode, ProvisionStats};

@@ -42,9 +42,9 @@ pub struct Plan {
 }
 
 /// Equality is over the *schedule* (entries + objective value), not the
-/// diagnostic cost counters: `scratch_grows` depends on which threads
-/// scored candidates, and two bit-identical plans computed on different
-/// pool sizes must compare equal.
+/// diagnostic cost counters: `scratch_grows` depends on what the planning
+/// thread scored before, and two bit-identical plans must compare equal
+/// whatever ran earlier.
 impl PartialEq for Plan {
     fn eq(&self, other: &Self) -> bool {
         self.entries == other.entries && self.objective_value == other.objective_value
@@ -98,8 +98,9 @@ impl Plan {
         out
     }
 
-    /// Parses a plan from [`Plan::to_csv`]'s format. The objective value is
-    /// not stored; it is recomputed as the max planned finish.
+    /// Parses a plan from [`Plan::to_csv`]'s format. A job id may appear
+    /// once. The objective value is not stored; it is recomputed as the
+    /// max planned finish.
     pub fn from_csv(text: &str) -> Result<Plan, String> {
         let mut plan = Plan::default();
         let mut lines = text.lines().enumerate();
@@ -131,17 +132,17 @@ impl Plan {
             if racks.is_empty() {
                 return Err(err("racks (empty)"));
             }
-            plan.entries.insert(
+            let entry = PlanEntry {
                 job,
-                PlanEntry {
-                    job,
-                    racks,
-                    priority,
-                    planned_start,
-                    planned_finish,
-                    predicted_latency,
-                },
-            );
+                racks,
+                priority,
+                planned_start,
+                planned_finish,
+                predicted_latency,
+            };
+            if plan.entries.insert(job, entry).is_some() {
+                return Err(format!("plan line {}: duplicate job id {}", n + 1, job.0));
+            }
         }
         plan.objective_value = plan
             .entries
@@ -185,6 +186,10 @@ mod tests {
         let bad =
             "job,priority,planned_start_s,planned_finish_s,predicted_latency_s,racks\n1,0,0,1,1,\n";
         assert!(Plan::from_csv(bad).is_err(), "empty rack set must fail");
+        let dup = "job,priority,planned_start_s,planned_finish_s,predicted_latency_s,racks\n\
+                   1,0,0,1,1,0\n1,1,0,2,2,3\n";
+        let err = Plan::from_csv(dup).expect_err("a repeated job id must fail");
+        assert!(err.contains("duplicate job id 1"), "{err}");
     }
 
     #[test]

@@ -4,9 +4,7 @@
 use crate::latency::{LatencyModel, ResponseOptions};
 use crate::objective::Objective;
 use crate::plan::{Plan, PlanEntry};
-use crate::provision::{
-    provision_pinned, provision_pinned_pooled, ProvisionMode, ProvisionOutcome,
-};
+use crate::provision::{provision, ProvisionMode};
 use corral_model::{ClusterConfig, JobSpec, RackId, SimTime};
 use std::collections::BTreeMap;
 
@@ -32,78 +30,10 @@ pub fn plan_jobs(
     plan_jobs_pinned(cfg, jobs, objective, planner, &BTreeMap::new())
 }
 
-/// [`plan_jobs`], also emitting `PlanComputed` / `PlannerAssigned` trace
-/// events. Planning happens before the simulation clock starts, so events
-/// are stamped at `t = 0`; `PlanComputed` carries the candidate count so
-/// traces record planning cost. (Wall-clock is deliberately kept out of
-/// the event stream — traces are byte-identical across same-seed runs —
-/// and reported via `RunSummary::planning`, stamped by the CLI.)
-pub fn plan_jobs_with_tracer(
-    cfg: &ClusterConfig,
-    jobs: &[JobSpec],
-    objective: Objective,
-    planner: &PlannerConfig,
-    tracer: &dyn corral_trace::Tracer,
-) -> Plan {
-    let plan = plan_jobs(cfg, jobs, objective, planner);
-    if tracer.enabled() {
-        let label = match objective {
-            Objective::Makespan => "makespan",
-            Objective::AvgCompletionTime => "avgjct",
-        };
-        tracer.record(
-            0.0,
-            corral_trace::TraceEvent::PlanComputed {
-                jobs: plan.len(),
-                objective: label,
-                candidates: plan.provision_stats.candidates,
-            },
-        );
-        for e in plan.entries.values() {
-            tracer.record(
-                0.0,
-                corral_trace::TraceEvent::PlannerAssigned {
-                    job: e.job.0,
-                    racks: e.racks.len(),
-                    priority: e.priority,
-                },
-            );
-        }
-    }
-    plan
-}
-
 /// [`plan_jobs`] with per-job rack pins: pinned jobs keep exactly those
 /// racks (their data already lives there — §3.1 replanning), while the rest
 /// are provisioned and placed around them.
 pub fn plan_jobs_pinned(
-    cfg: &ClusterConfig,
-    jobs: &[JobSpec],
-    objective: Objective,
-    planner: &PlannerConfig,
-    pinned: &BTreeMap<corral_model::JobId, Vec<RackId>>,
-) -> Plan {
-    plan_jobs_pinned_impl(None, cfg, jobs, objective, planner, pinned)
-}
-
-/// [`plan_jobs_pinned`] with candidate scoring parallelized on `pool`
-/// ([`crate::provision::provision_pinned_pooled`]) — bit-identical to the
-/// serial planner whatever the pool's worker count. Do not call from
-/// inside a sweep cell: cells already run one-per-worker, and a nested
-/// pool would oversubscribe the host.
-pub fn plan_jobs_pinned_pooled(
-    pool: &corral_sweep::SweepPool,
-    cfg: &ClusterConfig,
-    jobs: &[JobSpec],
-    objective: Objective,
-    planner: &PlannerConfig,
-    pinned: &BTreeMap<corral_model::JobId, Vec<RackId>>,
-) -> Plan {
-    plan_jobs_pinned_impl(Some(pool), cfg, jobs, objective, planner, pinned)
-}
-
-fn plan_jobs_pinned_impl(
-    pool: Option<&corral_sweep::SweepPool>,
     cfg: &ClusterConfig,
     jobs: &[JobSpec],
     objective: Objective,
@@ -123,7 +53,7 @@ fn plan_jobs_pinned_impl(
         .iter()
         .map(|j| pinned.get(&j.id).cloned())
         .collect();
-    plan_with_models(pool, &models, &meta, &pins, cfg.racks, objective)
+    plan_with_models(&models, &meta, &pins, cfg.racks, objective)
 }
 
 /// Provisioning + prioritization + plan assembly over prebuilt latency
@@ -132,32 +62,20 @@ fn plan_jobs_pinned_impl(
 /// incremental planner is bit-identical to the batch oracle by
 /// construction (its only delta is *where the models come from*).
 pub(crate) fn plan_with_models(
-    pool: Option<&corral_sweep::SweepPool>,
     models: &[LatencyModel],
     meta: &[(corral_model::JobId, SimTime)],
     pins: &[Option<Vec<RackId>>],
     total_racks: usize,
     objective: Objective,
 ) -> Plan {
-    let outcome: ProvisionOutcome = match pool {
-        Some(pool) => provision_pinned_pooled(
-            pool,
-            models,
-            meta,
-            pins,
-            total_racks,
-            objective,
-            ProvisionMode::Exhaustive,
-        ),
-        None => provision_pinned(
-            models,
-            meta,
-            pins,
-            total_racks,
-            objective,
-            ProvisionMode::Exhaustive,
-        ),
-    };
+    let outcome = provision(
+        models,
+        meta,
+        pins,
+        total_racks,
+        objective,
+        ProvisionMode::Exhaustive,
+    );
 
     // Priorities: rank by planned start time (earlier start = higher
     // priority = smaller number), ties by job id.

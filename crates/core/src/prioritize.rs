@@ -18,9 +18,11 @@ use crate::objective::Objective;
 use corral_model::{JobId, RackId, SimTime};
 use std::cmp::Ordering;
 
-/// One job's input to the prioritization phase.
-#[derive(Debug, Clone, Default)]
-pub struct PrioritizeInput {
+/// One job's input to the prioritization phase. Pins are *borrowed*: the
+/// provisioning loop re-scores thousands of candidate allocations against
+/// the same pin sets, and no candidate may clone one.
+#[derive(Debug, Clone, Copy)]
+pub struct PrioritizeJob<'a> {
     /// Job identity (carried through to the output).
     pub job: JobId,
     /// Number of racks `r_j` chosen by the provisioning phase.
@@ -32,39 +34,7 @@ pub struct PrioritizeInput {
     /// Specific racks the job *must* use (its data already lives there —
     /// the replanning case, §3.1). Empty = the algorithm chooses freely;
     /// non-empty overrides `racks`.
-    pub pinned: Vec<RackId>,
-}
-
-/// One job's input to the prioritization phase, with pins *borrowed*
-/// rather than owned. The provisioning loop re-scores thousands of
-/// candidate allocations against the same pin sets; cloning every pin per
-/// candidate (the old [`PrioritizeInput`]-based path) dominated the
-/// planner's allocation profile.
-#[derive(Debug, Clone, Copy)]
-pub struct PrioritizeJob<'a> {
-    /// Job identity (carried through to the output).
-    pub job: JobId,
-    /// Number of racks `r_j` chosen by the provisioning phase.
-    pub racks: usize,
-    /// Estimated latency `L_j(r_j)` at that allocation.
-    pub latency: SimTime,
-    /// Arrival time `A_j` (zero in the batch scenario).
-    pub arrival: SimTime,
-    /// Racks the job *must* use (see [`PrioritizeInput::pinned`]).
     pub pinned: &'a [RackId],
-}
-
-impl<'a> PrioritizeJob<'a> {
-    /// Borrowing view of an owned input.
-    pub fn of(inp: &'a PrioritizeInput) -> Self {
-        PrioritizeJob {
-            job: inp.job,
-            racks: inp.racks,
-            latency: inp.latency,
-            arrival: inp.arrival,
-            pinned: &inp.pinned,
-        }
-    }
 }
 
 /// The job-ordering rule of §4.2 — batch: widest first, then longest
@@ -104,30 +74,22 @@ pub struct ScheduledJob {
 /// priority order.
 ///
 /// ```
-/// use corral_core::prioritize::{prioritize, PrioritizeInput};
+/// use corral_core::prioritize::{prioritize, PrioritizeJob};
 /// use corral_model::{JobId, SimTime};
 ///
-/// let jobs = vec![
-///     PrioritizeInput { job: JobId(0), racks: 2, latency: SimTime(10.0), ..Default::default() },
-///     PrioritizeInput { job: JobId(1), racks: 1, latency: SimTime(4.0), ..Default::default() },
-/// ];
-/// let schedule = prioritize(&jobs, 2, false);
+/// let job = |id, racks, latency| PrioritizeJob {
+///     job: JobId(id),
+///     racks,
+///     latency: SimTime(latency),
+///     arrival: SimTime::ZERO,
+///     pinned: &[],
+/// };
+/// let schedule = prioritize(&[job(0, 2, 10.0), job(1, 1, 4.0)], 2, false);
 /// // Widest-first: the 2-rack job starts at t=0; the 1-rack job follows.
 /// let wide = schedule.iter().find(|s| s.job == JobId(0)).unwrap();
 /// assert_eq!(wide.start, SimTime(0.0));
 /// ```
 pub fn prioritize(
-    inputs: &[PrioritizeInput],
-    total_racks: usize,
-    online: bool,
-) -> Vec<ScheduledJob> {
-    let jobs: Vec<PrioritizeJob<'_>> = inputs.iter().map(PrioritizeJob::of).collect();
-    prioritize_jobs(&jobs, total_racks, online)
-}
-
-/// [`prioritize`] over borrowed-pin inputs — the form the provisioning
-/// loop uses so that re-scoring a candidate never clones a pin set.
-pub fn prioritize_jobs(
     jobs: &[PrioritizeJob<'_>],
     total_racks: usize,
     online: bool,
@@ -183,9 +145,9 @@ pub fn prioritize_jobs(
 /// candidate; [`PlannerScratch::grows`] counts the times any buffer had
 /// to grow, the planner twin of the fabric's `scratch_grows` invariant.
 #[derive(Debug, Default)]
-pub struct PlannerScratch {
+pub(crate) struct PlannerScratch {
     /// Job indices in scheduling order (the sorted `order` of
-    /// [`prioritize_jobs`], by index instead of reference).
+    /// [`prioritize`], by index instead of reference).
     order: Vec<u32>,
     /// Per-rack `F_i` — when rack `i` finishes its assigned jobs.
     finish_at: Vec<SimTime>,
@@ -198,7 +160,7 @@ pub struct PlannerScratch {
 
 impl PlannerScratch {
     /// A fresh (empty) scratch; buffers are sized on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PlannerScratch::default()
     }
 
@@ -225,7 +187,7 @@ impl PlannerScratch {
 /// the §4.2 placement recurrence entirely inside `scratch` and folds
 /// `objective` over the planned `(arrival, finish)` pairs in schedule
 /// order. Bit-identical to
-/// `objective.evaluate_iter(prioritize_jobs(..).iter() pairs)` — the
+/// `objective.evaluate_iter(prioritize(..).iter() pairs)` — the
 /// randomized property test over [`crate::provision::provision_reference`]
 /// holds the two paths together.
 ///
@@ -236,7 +198,7 @@ impl PlannerScratch {
 /// cheapest-to-free racks via `select_nth_unstable` — the selected *set*
 /// is unique under the total (F_i, rack-id) order, so the placement is
 /// unchanged.
-pub fn schedule_value_with<'a, F>(
+pub(crate) fn schedule_value_with<'a, F>(
     n: usize,
     job: F,
     total_racks: usize,
@@ -326,35 +288,17 @@ where
     }
 }
 
-/// [`schedule_value_with`] over a materialized job slice.
-pub fn schedule_value(
-    jobs: &[PrioritizeJob<'_>],
-    total_racks: usize,
-    online: bool,
-    objective: Objective,
-    scratch: &mut PlannerScratch,
-) -> f64 {
-    schedule_value_with(
-        jobs.len(),
-        |i| jobs[i],
-        total_racks,
-        online,
-        objective,
-        scratch,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn inp(job: u32, racks: usize, latency: f64, arrival: f64) -> PrioritizeInput {
-        PrioritizeInput {
+    fn inp(job: u32, racks: usize, latency: f64, arrival: f64) -> PrioritizeJob<'static> {
+        PrioritizeJob {
             job: JobId(job),
             racks,
             latency: SimTime(latency),
             arrival: SimTime(arrival),
-            pinned: Vec::new(),
+            pinned: &[],
         }
     }
 
@@ -424,15 +368,15 @@ mod tests {
         // Job 0 pinned to rack 2; job 1 free. The free job takes the
         // earliest-available rack (0), the pinned one waits for rack 2.
         let mut pinned = inp(0, 1, 5.0, 0.0);
-        pinned.pinned = vec![RackId(2)];
+        pinned.pinned = &[RackId(2)];
         let s = prioritize(&[pinned, inp(1, 1, 9.0, 0.0)], 3, false);
         let p = s.iter().find(|x| x.job == JobId(0)).unwrap();
         assert_eq!(p.racks, vec![RackId(2)]);
         // Two pinned jobs on the same rack serialize.
         let mut a = inp(0, 1, 5.0, 0.0);
-        a.pinned = vec![RackId(1)];
+        a.pinned = &[RackId(1)];
         let mut b = inp(1, 1, 7.0, 0.0);
-        b.pinned = vec![RackId(1)];
+        b.pinned = &[RackId(1)];
         let s = prioritize(&[a, b], 3, false);
         let t0 = s.iter().find(|x| x.job == JobId(0)).unwrap();
         let t1 = s.iter().find(|x| x.job == JobId(1)).unwrap();

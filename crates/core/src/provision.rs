@@ -10,33 +10,31 @@
 //! rather than stopping at `Σ r_j = R`, which lets it serve the
 //! average-completion-time objective too.)
 //!
-//! # The fast path
+//! # How candidates are scored
 //!
-//! The key structural fact (exploited since ISSUE 5): the **widening
-//! trajectory is independent of the evaluations**. Which job widens next
-//! depends only on the latency tables `L'_j(·)` and the current widths —
-//! never on a candidate's score — so the entire sequence of candidate
-//! allocations can be enumerated up front (a max-heap over `L'_j(r_j)`
-//! replaces the per-iteration `O(J)` scan) and every candidate scored
-//! independently: serially with a persistent per-thread
-//! [`PlannerScratch`], or in parallel on a [`corral_sweep::SweepPool`]
-//! via [`provision_pinned_pooled`]. The reduction is a deterministic
-//! min-by-`(value, trajectory index)` fold, so the result is
-//! bit-identical whatever the worker count. Each evaluation is
-//! allocation-free: borrowed pins, reused job-order / `finish_at` /
-//! rack-selection buffers, a k-smallest rack selection instead of the
-//! full `O(R log R)` sort, and an iterator-fold objective
-//! ([`Objective::evaluate_iter`]).
+//! The **widening trajectory is independent of the evaluations**: which
+//! job widens next depends only on the latency tables `L'_j(·)` and the
+//! current widths, never on a candidate's score. So [`provision`]
+//! enumerates the whole sequence of `1 + J·(R−1)` candidate allocations up
+//! front, with a max-heap over `L'_j(r_j)` in place of a per-iteration
+//! `O(J)` scan, and then scores each candidate against a persistent
+//! per-thread scratch. The winner is the first candidate in trajectory
+//! order whose value beats every earlier one. Scoring allocates nothing:
+//! pins are borrowed, the job-order, `finish_at` and rack-selection
+//! buffers are reused, racks are picked by a k-smallest selection instead
+//! of a full `O(R log R)` sort, and the objective is folded on the fly
+//! ([`Objective::evaluate_iter`]). Only the winning allocation's schedule
+//! is materialized, through [`prioritize`].
 //!
-//! The pre-optimization implementation survives as
-//! [`provision_reference`], the oracle a 200-case randomized property
-//! test (`crates/core/tests/prop_provision.rs`) and the `repro
-//! plannerbench` experiment hold the fast path against, bit for bit.
+//! The straightforward implementation survives as
+//! [`provision_reference`]. A 200-case randomized property test
+//! (`crates/core/tests/prop_provision.rs`) and the `repro plannerbench`
+//! experiment hold [`provision`] to it bit for bit.
 
 use crate::latency::LatencyModel;
 use crate::objective::Objective;
 use crate::prioritize::{
-    prioritize_jobs, schedule_value_with, PlannerScratch, PrioritizeJob, ScheduledJob,
+    prioritize, schedule_value_with, PlannerScratch, PrioritizeJob, ScheduledJob,
 };
 use corral_model::{JobId, RackId, SimTime};
 use corral_trace::probe;
@@ -69,27 +67,9 @@ pub struct ProvisionStats {
     pub candidates: u64,
     /// Widening steps popped off the trajectory heap.
     pub heap_pops: u64,
-    /// Times a scoring scratch buffer had to (re)allocate — 0 in steady
-    /// state once the per-thread scratches have warmed up.
+    /// Times the scoring scratch had to (re)allocate — 0 in steady state
+    /// once the calling thread's scratch has warmed up.
     pub scratch_grows: u64,
-}
-
-/// Counter names for mirroring [`ProvisionStats`] into a
-/// [`corral_trace::CounterSet`] (the observability contract of ISSUE 5).
-pub const PLANNER_COUNTERS: [&str; 3] = [
-    "planner.candidates",
-    "planner.heap_pops",
-    "planner.scratch_grows",
-];
-
-impl ProvisionStats {
-    /// Adds these stats to `counters` (which must declare
-    /// [`PLANNER_COUNTERS`]).
-    pub fn record(&self, counters: &corral_trace::CounterSet) {
-        counters.add("planner.candidates", self.candidates);
-        counters.add("planner.heap_pops", self.heap_pops);
-        counters.add("planner.scratch_grows", self.scratch_grows);
-    }
 }
 
 /// The outcome of provisioning + prioritization.
@@ -108,13 +88,16 @@ pub struct ProvisionOutcome {
 /// Validates per-job rack pins against the cluster once, at the planner
 /// boundary: out-of-range rack ids are dropped, duplicates collapse, and
 /// a pin left empty becomes "unpinned" (the job re-enters the widening
-/// loop). Before this existed, `provision_pinned` derived a pinned job's
+/// loop). Before this existed, provisioning derived a pinned job's
 /// *width* from the raw pin (`pin.len()`) while `prioritize` silently
 /// dropped out-of-range ids from its *placement* — the two could
-/// disagree. Both the fast path and [`provision_reference`] consume the
+/// disagree. Both [`provision`] and [`provision_reference`] consume the
 /// validated pins, so width and placement now always derive from the
 /// same rack set.
-pub fn validate_pins(pins: &[Option<Vec<RackId>>], total_racks: usize) -> Vec<Option<Vec<RackId>>> {
+pub(crate) fn validate_pins(
+    pins: &[Option<Vec<RackId>>],
+    total_racks: usize,
+) -> Vec<Option<Vec<RackId>>> {
     pins.iter()
         .map(|pin| {
             let pin = pin.as_ref()?;
@@ -132,78 +115,6 @@ pub fn validate_pins(pins: &[Option<Vec<RackId>>], total_racks: usize) -> Vec<Op
             }
         })
         .collect()
-}
-
-/// Runs the provisioning phase over per-job latency models.
-///
-/// * `models[i]` — the latency table of job `i`;
-/// * `jobs[i]` — its id and arrival time;
-/// * `total_racks` — the cluster's `R`;
-/// * `objective` — what to minimize (selects the online sort order too).
-pub fn provision(
-    models: &[LatencyModel],
-    jobs: &[(JobId, SimTime)],
-    total_racks: usize,
-    objective: Objective,
-) -> ProvisionOutcome {
-    provision_with_mode(
-        models,
-        jobs,
-        total_racks,
-        objective,
-        ProvisionMode::Exhaustive,
-    )
-}
-
-/// [`provision`] with an explicit exploration mode.
-pub fn provision_with_mode(
-    models: &[LatencyModel],
-    jobs: &[(JobId, SimTime)],
-    total_racks: usize,
-    objective: Objective,
-    mode: ProvisionMode,
-) -> ProvisionOutcome {
-    let pins = vec![None; jobs.len()];
-    provision_pinned(models, jobs, &pins, total_racks, objective, mode)
-}
-
-/// [`provision_with_mode`] with optional per-job rack pins: a pinned job is
-/// excluded from widening (its rack count is its pin's size) and the
-/// prioritization phase places it on exactly those racks — the §3.1
-/// replanning case, where input replicas already sit on specific racks.
-/// Pins are validated once via [`validate_pins`].
-///
-/// This is the serial fast path: candidates are scored one after another
-/// against a persistent per-thread scratch. Use
-/// [`provision_pinned_pooled`] to fan candidate scoring out over a sweep
-/// pool; both produce bit-identical outcomes (and both match
-/// [`provision_reference`]).
-pub fn provision_pinned(
-    models: &[LatencyModel],
-    jobs: &[(JobId, SimTime)],
-    pins: &[Option<Vec<RackId>>],
-    total_racks: usize,
-    objective: Objective,
-    mode: ProvisionMode,
-) -> ProvisionOutcome {
-    provision_fast(None, models, jobs, pins, total_racks, objective, mode)
-}
-
-/// [`provision_pinned`] with candidate scoring parallelized on `pool`.
-/// The trajectory is enumerated up front, every candidate is scored as an
-/// independent cell, and the winner is reduced by
-/// `(value, trajectory index)` — byte-identical to the serial path
-/// whatever the pool's worker count.
-pub fn provision_pinned_pooled(
-    pool: &corral_sweep::SweepPool,
-    models: &[LatencyModel],
-    jobs: &[(JobId, SimTime)],
-    pins: &[Option<Vec<RackId>>],
-    total_racks: usize,
-    objective: Objective,
-    mode: ProvisionMode,
-) -> ProvisionOutcome {
-    provision_fast(Some(pool), models, jobs, pins, total_racks, objective, mode)
 }
 
 thread_local! {
@@ -244,8 +155,8 @@ impl Ord for Widen {
 /// Enumerates the full widening trajectory: returns the flattened
 /// candidate widths (`n` per candidate, candidate 0 = the initial
 /// allocation) plus the number of heap pops. Depends only on the latency
-/// tables, pins and mode — never on evaluation results — which is what
-/// makes the parallel scoring below legal.
+/// tables, pins and mode — never on evaluation results — so every
+/// candidate can be scored on its own.
 fn enumerate_candidates(
     models: &[LatencyModel],
     pins: &[Option<Vec<RackId>>],
@@ -309,8 +220,21 @@ fn candidate_view<'a>(
     }
 }
 
-fn provision_fast(
-    pool: Option<&corral_sweep::SweepPool>,
+/// Runs the provisioning phase over per-job latency models and returns
+/// the best allocation with its prioritized schedule.
+///
+/// * `models[i]` — the latency table of job `i`;
+/// * `jobs[i]` — its id and arrival time;
+/// * `pins[i]` — racks job `i` must keep (the §3.1 replanning case, where
+///   input replicas already sit on specific racks), or `None`. A pinned
+///   job sits out the widening loop at its pin's size, and the
+///   prioritization phase places it on exactly those racks. Pins are
+///   validated once: out-of-range ids are dropped, duplicates collapse,
+///   and an empty pin means unpinned;
+/// * `total_racks` — the cluster's `R`;
+/// * `objective` — what to minimize (selects the online sort order too);
+/// * `mode` — how far the widening loop explores.
+pub fn provision(
     models: &[LatencyModel],
     jobs: &[(JobId, SimTime)],
     pins: &[Option<Vec<RackId>>],
@@ -345,50 +269,34 @@ fn provision_fast(
     };
     let candidates = widths.len() / n;
 
-    let pins = &pins;
-    let score = |c: usize| -> (f64, u64) {
-        // Runs on pool worker threads too; the span lands in that
-        // thread's probe state and merges when the pool flushes.
-        let _probe = probe::span(probe::SpanKind::CandidateScore);
-        let w = &widths[c * n..(c + 1) * n];
-        SCRATCH.with(|s| {
-            let s = &mut *s.borrow_mut();
-            let g0 = s.grows();
-            let view = candidate_view(w, models, jobs, pins);
+    // Min by (value, trajectory index): the first candidate whose value
+    // strictly improves on everything before it.
+    let (best_c, best_v, grows) = SCRATCH.with(|s| {
+        let s = &mut *s.borrow_mut();
+        let g0 = s.grows();
+        let mut best = (0usize, 0.0f64);
+        for c in 0..candidates {
+            let _probe = probe::span(probe::SpanKind::CandidateScore);
+            let view = candidate_view(&widths[c * n..(c + 1) * n], models, jobs, &pins);
             let v = schedule_value_with(n, view, total_racks, online, objective, s);
-            let g = s.grows() - g0;
-            probe::count(probe::ProbeCounter::PlannerScratchGrow, g);
-            (v, g)
-        })
-    };
-
-    // Score every candidate (independently — in parallel when a pool is
-    // given), then reduce deterministically: first candidate in trajectory
-    // order whose value strictly improves on everything before it, i.e.
-    // min by (value, trajectory index).
-    let scored: Vec<(f64, u64)> = match pool {
-        Some(pool) if candidates > 1 => pool.run_all(candidates, score),
-        _ => (0..candidates).map(score).collect(),
-    };
-    let mut best_c = 0usize;
-    let mut grows = 0u64;
-    for (c, &(v, g)) in scored.iter().enumerate() {
-        grows += g;
-        if v < scored[best_c].0 {
-            best_c = c;
+            if c == 0 || v < best.1 {
+                best = (c, v);
+            }
         }
-    }
+        (best.0, best.1, s.grows() - g0)
+    });
+    probe::count(probe::ProbeCounter::PlannerScratchGrow, grows);
 
-    // Materialize the winning schedule once, through the same borrowed
+    // Materialize the winning schedule once, through the same
     // prioritization the reference oracle uses.
     let w = &widths[best_c * n..(best_c + 1) * n];
-    let view = candidate_view(w, models, jobs, pins);
+    let view = candidate_view(w, models, jobs, &pins);
     let inputs: Vec<PrioritizeJob<'_>> = (0..n).map(view).collect();
-    let schedule = prioritize_jobs(&inputs, total_racks, online);
+    let schedule = prioritize(&inputs, total_racks, online);
     ProvisionOutcome {
         racks: w.iter().map(|&r| r as usize).collect(),
         schedule,
-        objective_value: scored[best_c].0,
+        objective_value: best_v,
         stats: ProvisionStats {
             candidates: candidates as u64,
             heap_pops,
@@ -397,15 +305,16 @@ fn provision_fast(
     }
 }
 
-/// The pre-fast-path provisioning implementation, kept as the oracle the
-/// property tests and `repro plannerbench` measure against: per-iteration
+/// The straightforward provisioning implementation, kept as the oracle
+/// the property tests and `repro plannerbench` measure [`provision`]
+/// against: per-iteration
 /// `O(J)` widening scan, a fresh full prioritization (with its
 /// per-job `O(R log R)` rack sort) per candidate, and a materialized
 /// schedule per evaluation. Pins are borrowed (not cloned per candidate)
 /// and the job-input vector is built once and patched in place, so the
-/// benchmark isolates the *algorithmic* wins of the fast path from
+/// benchmark isolates the *algorithmic* wins of [`provision`] from
 /// incidental allocation. Must stay semantically frozen — behavioral
-/// changes belong in the fast path, proven equivalent by
+/// changes belong in [`provision`], proven equivalent by
 /// `prop_provision.rs`.
 pub fn provision_reference(
     models: &[LatencyModel],
@@ -446,7 +355,7 @@ pub fn provision_reference(
         })
         .collect();
     let evaluate = |inputs: &[PrioritizeJob<'_>]| -> (Vec<ScheduledJob>, f64) {
-        let schedule = prioritize_jobs(inputs, total_racks, online);
+        let schedule = prioritize(inputs, total_racks, online);
         let value = objective.evaluate_iter(schedule.iter().map(|s| (s.arrival, s.finish)));
         (schedule, value)
     };
@@ -510,6 +419,24 @@ mod tests {
         ClusterConfig::testbed_210()
     }
 
+    /// [`provision`] with no pins, exploring exhaustively.
+    fn unpinned(
+        models: &[LatencyModel],
+        jobs: &[(JobId, SimTime)],
+        racks: usize,
+        objective: Objective,
+    ) -> ProvisionOutcome {
+        let pins = vec![None; jobs.len()];
+        provision(
+            models,
+            jobs,
+            &pins,
+            racks,
+            objective,
+            ProvisionMode::Exhaustive,
+        )
+    }
+
     fn model(input_gb: f64, shuffle_gb: f64, tasks: usize, cfg: &ClusterConfig) -> LatencyModel {
         let mr = MapReduceProfile {
             input: Bytes::gb(input_gb),
@@ -534,7 +461,7 @@ mod tests {
             model(1.0, 0.5, 20, &c),
         ];
         let jobs: Vec<(JobId, SimTime)> = (0..4).map(|i| (JobId(i), SimTime::ZERO)).collect();
-        let out = provision(&models, &jobs, c.racks, Objective::Makespan);
+        let out = unpinned(&models, &jobs, c.racks, Objective::Makespan);
         assert!(
             out.racks[0] > 1,
             "huge job should get several racks: {:?}",
@@ -570,25 +497,25 @@ mod tests {
         let jobs: Vec<(JobId, SimTime)> = (0..6).map(|i| (JobId(i), SimTime::ZERO)).collect();
 
         // Baseline: every job on one rack.
-        let inputs: Vec<crate::prioritize::PrioritizeInput> = (0..6)
-            .map(|i| crate::prioritize::PrioritizeInput {
+        let inputs: Vec<PrioritizeJob<'_>> = (0..6)
+            .map(|i| PrioritizeJob {
                 job: JobId(i),
                 racks: 1,
                 latency: models[i as usize].latency(1),
                 arrival: SimTime::ZERO,
-                pinned: Vec::new(),
+                pinned: &[],
             })
             .collect();
-        let base = crate::prioritize::prioritize(&inputs, c.racks, false);
+        let base = prioritize(&inputs, c.racks, false);
         let base_mk = base.iter().map(|s| s.finish.as_secs()).fold(0.0, f64::max);
 
-        let out = provision(&models, &jobs, c.racks, Objective::Makespan);
+        let out = unpinned(&models, &jobs, c.racks, Objective::Makespan);
         assert!(out.objective_value <= base_mk + 1e-9);
     }
 
     #[test]
     fn empty_job_set() {
-        let out = provision(&[], &[], 7, Objective::Makespan);
+        let out = unpinned(&[], &[], 7, Objective::Makespan);
         assert!(out.schedule.is_empty());
         assert_eq!(out.objective_value, 0.0);
         assert_eq!(out.stats.candidates, 0);
@@ -599,7 +526,7 @@ mod tests {
         let c = ClusterConfig { racks: 1, ..cfg() };
         let models = vec![model(10.0, 5.0, 100, &c), model(20.0, 10.0, 200, &c)];
         let jobs = vec![(JobId(0), SimTime::ZERO), (JobId(1), SimTime::ZERO)];
-        let out = provision(&models, &jobs, 1, Objective::Makespan);
+        let out = unpinned(&models, &jobs, 1, Objective::Makespan);
         assert_eq!(out.racks, vec![1, 1]);
         // Sequential on one rack.
         let mk = out.objective_value;
@@ -612,7 +539,7 @@ mod tests {
         let c = cfg();
         let models = vec![model(10.0, 5.0, 100, &c), model(10.0, 5.0, 100, &c)];
         let jobs = vec![(JobId(0), SimTime::ZERO), (JobId(1), SimTime(10_000.0))];
-        let out = provision(&models, &jobs, c.racks, Objective::AvgCompletionTime);
+        let out = unpinned(&models, &jobs, c.racks, Objective::AvgCompletionTime);
         // Arrivals far apart: no queueing; avg completion ~ per-job latency.
         let solo = models[0].latency(out.racks[0]).as_secs();
         assert!(out.objective_value <= solo + 1e-6);
@@ -624,7 +551,7 @@ mod tests {
         let models = vec![model(50.0, 25.0, 500, &c), model(50.0, 25.0, 500, &c)];
         let jobs = vec![(JobId(0), SimTime::ZERO), (JobId(1), SimTime::ZERO)];
         let pins = vec![Some(vec![RackId(5), RackId(6)]), None];
-        let out = provision_pinned(
+        let out = provision(
             &models,
             &jobs,
             &pins,
@@ -646,7 +573,7 @@ mod tests {
         let models = vec![model(50.0, 25.0, 500, &c), model(50.0, 25.0, 500, &c)];
         let jobs = vec![(JobId(0), SimTime::ZERO), (JobId(1), SimTime::ZERO)];
         let pins = vec![Some(vec![RackId(99), RackId(5), RackId(5)]), None];
-        for f in [provision_pinned, provision_reference] {
+        for f in [provision, provision_reference] {
             let out = f(
                 &models,
                 &jobs,
@@ -665,7 +592,7 @@ mod tests {
         }
         // A pin that is *entirely* out of range un-pins the job.
         let pins = vec![Some(vec![RackId(99)]), None];
-        let out = provision_pinned(
+        let out = provision(
             &models,
             &jobs,
             &pins,
@@ -690,16 +617,19 @@ mod tests {
                 .collect();
             let jobs: Vec<(JobId, SimTime)> =
                 (0..8).map(|i| (JobId(i as u32), SimTime::ZERO)).collect();
-            let full = provision_with_mode(
+            let pins = vec![None; jobs.len()];
+            let full = provision(
                 &models,
                 &jobs,
+                &pins,
                 c.racks,
                 Objective::Makespan,
                 ProvisionMode::Exhaustive,
             );
-            let early = provision_with_mode(
+            let early = provision(
                 &models,
                 &jobs,
+                &pins,
                 c.racks,
                 Objective::Makespan,
                 ProvisionMode::EarlyStop,
@@ -724,8 +654,8 @@ mod tests {
             .map(|i| model(5.0 + i as f64, 2.0, 50 + 10 * i as usize, &c))
             .collect();
         let jobs: Vec<(JobId, SimTime)> = (0..5).map(|i| (JobId(i), SimTime::ZERO)).collect();
-        let a = provision(&models, &jobs, c.racks, Objective::Makespan);
-        let b = provision(&models, &jobs, c.racks, Objective::Makespan);
+        let a = unpinned(&models, &jobs, c.racks, Objective::Makespan);
+        let b = unpinned(&models, &jobs, c.racks, Objective::Makespan);
         assert_eq!(a.racks, b.racks);
         assert_eq!(a.objective_value, b.objective_value);
         assert_eq!(a.stats.candidates, b.stats.candidates);
@@ -738,47 +668,9 @@ mod tests {
         let models: Vec<LatencyModel> =
             (0..4).map(|i| model(5.0 + i as f64, 2.0, 50, &c)).collect();
         let jobs: Vec<(JobId, SimTime)> = (0..4).map(|i| (JobId(i), SimTime::ZERO)).collect();
-        let out = provision(&models, &jobs, c.racks, Objective::Makespan);
+        let out = unpinned(&models, &jobs, c.racks, Objective::Makespan);
         assert_eq!(out.stats.candidates, 1 + 4 * (c.racks as u64 - 1));
         assert_eq!(out.stats.heap_pops, out.stats.candidates - 1);
-    }
-
-    #[test]
-    fn pooled_scoring_is_bit_identical_to_serial() {
-        let c = cfg();
-        let models: Vec<LatencyModel> = (0..7)
-            .map(|i| model(8.0 + 3.0 * i as f64, 4.0, 60 + 25 * i as usize, &c))
-            .collect();
-        let jobs: Vec<(JobId, SimTime)> = (0..7)
-            .map(|i| (JobId(i), SimTime(i as f64 * 40.0)))
-            .collect();
-        let pins = vec![None; 7];
-        let pool = corral_sweep::SweepPool::new(4).progress(false);
-        for objective in [Objective::Makespan, Objective::AvgCompletionTime] {
-            let serial = provision_pinned(
-                &models,
-                &jobs,
-                &pins,
-                c.racks,
-                objective,
-                ProvisionMode::Exhaustive,
-            );
-            let pooled = provision_pinned_pooled(
-                &pool,
-                &models,
-                &jobs,
-                &pins,
-                c.racks,
-                objective,
-                ProvisionMode::Exhaustive,
-            );
-            assert_eq!(serial.racks, pooled.racks);
-            assert_eq!(
-                serial.objective_value.to_bits(),
-                pooled.objective_value.to_bits()
-            );
-            assert_eq!(serial.stats.candidates, pooled.stats.candidates);
-        }
     }
 
     #[test]

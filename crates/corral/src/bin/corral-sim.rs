@@ -18,7 +18,7 @@ use corral::cli::{sweep_flags, Flags, SWEEP_VALUE_FLAGS};
 use corral::cluster::config::{DataPlacement, SimParams};
 use corral::cluster::engine::Engine;
 use corral::cluster::scheduler::SchedulerKind;
-use corral::core::{plan_jobs, plan_jobs_with_tracer, Objective, Plan, PlannerConfig};
+use corral::core::{plan_jobs, Objective, Plan, PlannerConfig};
 use corral::model::{ClusterConfig, JobSpec, SimTime};
 use corral::simnet::background::BackgroundModel;
 use corral::trace::probe;
@@ -543,8 +543,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             return Err("--summary requires a single seed (drop --seeds)".to_string());
         }
         let plan = if let Some(p) = f.value("--plan") {
-            let text = std::fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}"))?;
-            Plan::from_csv(&text)?
+            load_plan(p, &cfg)?
         } else if needs_plan {
             plan_jobs(&cfg, &jobs, objective, &PlannerConfig::default())
         } else {
@@ -576,19 +575,12 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 
     let t_plan = std::time::Instant::now();
     let (plan, planned_here) = if let Some(path) = f.value("--plan") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        (Plan::from_csv(&text)?, false)
+        (load_plan(path, &cfg)?, false)
     } else if needs_plan {
-        let plan = match &tracer {
-            Some(t) => plan_jobs_with_tracer(
-                &cfg,
-                &jobs,
-                objective,
-                &PlannerConfig::default(),
-                t.as_ref(),
-            ),
-            None => plan_jobs(&cfg, &jobs, objective, &PlannerConfig::default()),
-        };
+        let plan = plan_jobs(&cfg, &jobs, objective, &PlannerConfig::default());
+        if let Some(t) = &tracer {
+            trace_plan(t.as_ref(), &plan, objective);
+        }
         (plan, true)
     } else {
         (Plan::default(), false)
@@ -679,6 +671,58 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// Reads a plan CSV written by `corral-sim plan --out` and checks it
+/// against the cluster: a rack id outside `0..cfg.racks` is an error, not
+/// a crash inside the engine.
+fn load_plan(path: &str, cfg: &ClusterConfig) -> Result<Plan, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let plan = Plan::from_csv(&text).map_err(|e| format!("{path}: {e}"))?;
+    for e in plan.entries.values() {
+        if let Some(r) = e.racks.iter().find(|r| r.index() >= cfg.racks) {
+            return Err(format!(
+                "{path}: job {} is planned on rack {}, but the cluster has {} racks",
+                e.job.0, r.0, cfg.racks
+            ));
+        }
+    }
+    Ok(plan)
+}
+
+/// Records a freshly computed plan in the trace: one `PlanComputed`
+/// carrying the candidate count, then one `PlannerAssigned` per planned
+/// job. Planning happens before the simulation clock starts, so all are
+/// stamped at `t = 0`. Planner wall-clock stays out of the event stream
+/// (traces are byte-identical across same-seed runs); it goes to
+/// `RunSummary::planning` instead.
+fn trace_plan(tracer: &dyn Tracer, plan: &Plan, objective: Objective) {
+    use corral::trace::TraceEvent;
+    if !tracer.enabled() {
+        return;
+    }
+    let objective = match objective {
+        Objective::Makespan => "makespan",
+        Objective::AvgCompletionTime => "avgjct",
+    };
+    tracer.record(
+        0.0,
+        TraceEvent::PlanComputed {
+            jobs: plan.len(),
+            objective,
+            candidates: plan.provision_stats.candidates,
+        },
+    );
+    for e in plan.entries.values() {
+        tracer.record(
+            0.0,
+            TraceEvent::PlannerAssigned {
+                job: e.job.0,
+                racks: e.racks.len(),
+                priority: e.priority,
+            },
+        );
+    }
 }
 
 /// `simulate --seeds N`: runs the same trace and plan under `N` seeds

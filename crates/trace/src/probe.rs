@@ -50,11 +50,12 @@ pub enum SpanKind {
     FabricRecompute = 0,
     /// The max-min water-filling allocation inside a recompute.
     FabricMaxMin,
-    /// Candidate-trajectory enumeration in `provision_fast`.
+    /// Candidate-trajectory enumeration in `corral_core::provision`.
     CandidateEnum,
-    /// Scoring one candidate allocation (runs on pool workers too).
+    /// Scoring one candidate allocation.
     CandidateScore,
-    /// One full `provision_fast` call (enumeration + scoring + argmin).
+    /// One full `corral_core::provision` call (enumeration + scoring +
+    /// argmin).
     Provision,
     /// One full `plan_jobs` decision (the per-plan latency histogram).
     PlanDecision,
